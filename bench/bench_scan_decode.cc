@@ -6,7 +6,7 @@
 // float, string), and runs each point both ways: late materialization
 // (payload columns decoded only for surviving rows) versus eager decode
 // (every column of every block decoded before filtering — the legacy
-// behavior, kept behind ScanSpec::eager_decode). The string payload is
+// behavior, kept behind ExecContext::decode_first). The string payload is
 // where eager decode bleeds: every unselected row still heap-allocates a
 // std::string.
 //
@@ -68,13 +68,13 @@ void BM_ScanDecode(benchmark::State& state) {
   uint64_t rows_out = 0;
   for (auto _ : state) {
     ExecContext ctx = f.db->MakeExecContext();
+    ctx.decode_first = eager;
     ScanSpec spec;
     spec.storage = f.ps;
     spec.projection_columns = {0, 1, 2, 3};
     spec.output_names = {"k", "a", "f", "s"};
     spec.output_types = {TypeId::kInt64, TypeId::kInt64, TypeId::kFloat64,
                          TypeId::kString};
-    spec.eager_decode = eager;
     auto pred = Cmp(CompareOp::kLt, Col("k"), Lit(Value::Int64(threshold)));
     BindSchema schema;
     schema.Add("k", TypeId::kInt64);
@@ -179,20 +179,18 @@ ScanSpec OneColumnScan(CompressedFixture& f, int enc_col, bool encoded) {
   spec.output_names = {kEncCols[enc_col]};
   spec.output_types = {kEncTypes[enc_col]};
   spec.encoded_output = encoded;
-  spec.eager_decode = !encoded;
   return spec;
 }
 
 // Predicate + COUNT(*) on one column per encoding. `enc`=1 keeps blocks
 // encoded through predicate and aggregation (one compare per RLE run / per
 // dictionary entry, COUNT by run length); `enc`=0 is the decode-then-eval
-// baseline (global toggle off + eager decode).
+// baseline (ExecContext::decode_first).
 void BM_CompressedPredCount(benchmark::State& state) {
   auto& f = GetCompressedFixture();
   int enc_col = static_cast<int>(state.range(0));
   int64_t sel_ppm = state.range(1);
   bool encoded = state.range(2) != 0;
-  SetEncodedExecutionEnabled(encoded);
   // Thresholds picked so every encoding sweeps the same selectivity: the
   // int columns (`r` delta `dv` plain `p`) and the dictionary strings all
   // span a 1000-value domain.
@@ -219,6 +217,7 @@ void BM_CompressedPredCount(benchmark::State& state) {
   uint64_t groups = 0;
   for (auto _ : state) {
     ExecContext ctx = f.db->MakeExecContext();
+    ctx.decode_first = !encoded;
     ScanSpec spec = OneColumnScan(f, enc_col, encoded);
     spec.predicate = CloneExpr(pred);
     GroupBySpec gspec;
@@ -233,7 +232,6 @@ void BM_CompressedPredCount(benchmark::State& state) {
     groups = rows.value().NumRows();
     benchmark::DoNotOptimize(groups);
   }
-  SetEncodedExecutionEnabled(true);
   state.SetItemsProcessed(state.iterations() * kCRows);
   state.SetLabel(std::string(kEncNames[enc_col]) + "/sel=" +
                  std::to_string(sel_ppm / 10000.0) + "%/" +
@@ -245,18 +243,17 @@ void BM_CompressedPredCount(benchmark::State& state) {
 void BM_CompressedGroupByDict(benchmark::State& state) {
   auto& f = GetCompressedFixture();
   bool encoded = state.range(0) != 0;
-  SetEncodedExecutionEnabled(encoded);
 
   uint64_t groups = 0;
   for (auto _ : state) {
     ExecContext ctx = f.db->MakeExecContext();
+    ctx.decode_first = !encoded;
     ScanSpec spec;
     spec.storage = f.ps;
     spec.projection_columns = {1, 3};
     spec.output_names = {"s", "p"};
     spec.output_types = {TypeId::kString, TypeId::kInt64};
     spec.encoded_output = encoded;
-    spec.eager_decode = !encoded;
     GroupBySpec gspec;
     gspec.group_columns = {0};
     gspec.aggs.push_back({AggKind::kCountStar, -1, TypeId::kInt64});
@@ -271,7 +268,6 @@ void BM_CompressedGroupByDict(benchmark::State& state) {
     groups = rows.value().NumRows();
     benchmark::DoNotOptimize(groups);
   }
-  SetEncodedExecutionEnabled(true);
   state.SetItemsProcessed(state.iterations() * kCRows);
   state.SetLabel(std::string("dict-group-by/") +
                  (encoded ? "encoded" : "decode-first") + "/groups=" +

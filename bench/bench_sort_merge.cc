@@ -110,13 +110,12 @@ void BM_OrderBy(benchmark::State& state) {
   bool normalized = state.range(2) != 0;
   const RowBlock& input = InputBlock(rows);
   std::vector<SortKey> keys = KeysFor(shape);
-  SetNormalizedKeySortEnabled(normalized);
   for (auto _ : state) {
-    auto perm = ComputeSortPermutationDirected(input, keys);
+    auto perm = normalized ? ComputeSortPermutationDirected(input, keys)
+                           : ComputeSortPermutationComparator(input, keys);
     RowBlock sorted = ApplyPermutation(input, perm);
     benchmark::DoNotOptimize(sorted.NumRows());
   }
-  SetNormalizedKeySortEnabled(true);
   state.SetItemsProcessed(static_cast<int64_t>(rows) * state.iterations());
   state.SetLabel(std::string(ShapeName(shape)) +
                  (normalized ? "/normalized" : "/comparator"));

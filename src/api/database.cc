@@ -84,6 +84,7 @@ ExecContext Database::SessionContext(QuerySession* session) {
   ctx.sort_memory_bytes = options_.sort_memory_budget;
   ctx.hedge_deadline_ms = hedge_deadline_ms_.load(std::memory_order_relaxed);
   ctx.hedge_max_attempts = options_.hedge_max_attempts;
+  ctx.decode_first = decode_first_.load(std::memory_order_relaxed);
   return ctx;
 }
 
@@ -103,6 +104,7 @@ ExecContext Database::MakeExecContext() {
   ctx.sort_memory_bytes = options_.sort_memory_budget;
   ctx.hedge_deadline_ms = hedge_deadline_ms_.load(std::memory_order_relaxed);
   ctx.hedge_max_attempts = options_.hedge_max_attempts;
+  ctx.decode_first = decode_first_.load(std::memory_order_relaxed);
   return ctx;
 }
 

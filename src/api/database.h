@@ -110,6 +110,12 @@ class Database {
     hedge_deadline_ms_.store(ms, std::memory_order_relaxed);
   }
 
+  /// Run this database's queries on the decode-first reference path
+  /// (ExecContext::decode_first). Applies to queries admitted after the
+  /// call; plans do not change. Differential tests and benches compare
+  /// against it.
+  void SetDecodeFirst(bool on) { decode_first_.store(on, std::memory_order_relaxed); }
+
   /// Advance the Ancient History Mark per the default policy.
   Status AdvanceAhm() { return cluster_->AdvanceAhm(); }
 
@@ -156,6 +162,8 @@ class Database {
   std::unique_ptr<Scheduler> scheduler_;
   /// Live hedging deadline (seeded from options_, see SetHedgeDeadlineMs).
   std::atomic<uint64_t> hedge_deadline_ms_{0};
+  /// Live decode-first switch (see SetDecodeFirst).
+  std::atomic<bool> decode_first_{false};
   std::shared_ptr<FileSystem> fs_;
   Catalog catalog_;
   std::unique_ptr<Cluster> cluster_;

@@ -33,13 +33,11 @@ bool LoserTreeMerger::RowBeats(size_t a, size_t row, size_t b) const {
   int c;
   if (use_normalized_keys_) {
     c = ca.keys.CompareWith(row, cb.keys, cb.pos);
-  } else if (total_order_compare_) {
+  } else {
     // Inputs were sorted by normalized keys; direct compares must use the
     // same total order on doubles (NaN after +inf, -0 == +0) or a
     // NaN-bearing merge would interleave out of order.
     c = CompareRowsDirectedTotal(ca.block, row, cb.block, cb.pos, keys_);
-  } else {
-    c = CompareRowsDirected(ca.block, row, cb.block, cb.pos, keys_);
   }
   if (c != 0) return c < 0;
   return a < b;  // lower input index wins ties (stable merge)
@@ -64,11 +62,9 @@ size_t LoserTreeMerger::InitNode(size_t node) {
 Status LoserTreeMerger::Init() {
   // Two-way merges compare each row once; a direct typed compare beats
   // paying the per-block key build there. From k=3 up, memcmp'd keys win.
-  // When the knob is on but k<=2, compares still follow the normalized-key
-  // total order (inputs were sorted under it).
-  bool knob = NormalizedKeySortEnabled();
-  use_normalized_keys_ = knob && k_ > 2;
-  total_order_compare_ = knob && !use_normalized_keys_;
+  // Direct compares still follow the normalized-key total order (inputs
+  // were sorted under it).
+  use_normalized_keys_ = k_ > 2;
   for (size_t i = 0; i < k_; ++i) {
     // First fill: base must stay 0.
     Cursor& cur = cursors_[i];

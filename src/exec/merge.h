@@ -79,9 +79,8 @@ struct MergeSourceRef {
 ///
 /// Ties break toward the lower input index, so the merge is stable when
 /// inputs are numbered in original order — and byte-identical to the
-/// scan-all-sources comparator loops it replaces. Honors the
-/// NormalizedKeySortEnabled() A/B knob: when off, comparisons fall back to
-/// per-row CompareRowsDirected.
+/// scan-all-sources comparator loops it replaces. Compares normalized keys
+/// for k > 2 and rows directly (under the same total order) for k <= 2.
 class LoserTreeMerger {
  public:
   LoserTreeMerger(std::vector<std::unique_ptr<MergeInput>> inputs,
@@ -132,9 +131,9 @@ class LoserTreeMerger {
   size_t k_ = 0;
   size_t streak_ = 0;             ///< current winner's consecutive wins
   size_t streak_leaf_ = SIZE_MAX; ///< leaf the streak belongs to
+  /// False for k <= 2: direct row compares under the normalized-key total
+  /// order.
   bool use_normalized_keys_ = true;
-  /// Direct compares (k<=2 fast path) under the normalized-key total order.
-  bool total_order_compare_ = false;
 };
 
 }  // namespace stratica

@@ -68,8 +68,8 @@ struct ExecStats {
   /// Encoded bytes of blocks that left the scan still encoded (runs or dict
   /// codes) — decode work the executor never paid.
   std::atomic<uint64_t> decode_elided_bytes{0};
-  /// Queries the planner ran serial because the scan shape (sorted output /
-  /// RLE passthrough) cannot ride the morsel path; keeps AllowedFanout
+  /// Queries the planner ran serial because the scan carries sort order
+  /// (sorted_output), which cannot ride the morsel path; keeps AllowedFanout
   /// accounting honest about the bypass (DESIGN.md §12).
   std::atomic<uint64_t> morsel_bypasses{0};
 
@@ -166,6 +166,11 @@ struct ExecContext {
   /// (where every file op is slow) stops consuming I/O once hedged past and
   /// does not stall query teardown for the rest of its scan.
   const std::atomic<bool>* abandon = nullptr;
+  /// Decode-first reference path (DESIGN.md §7, §13): scans decode every
+  /// column of every block flat before filtering — no late materialization,
+  /// no encoded output. Differential tests and benches compare the default
+  /// plan against it; the planner never reads it.
+  bool decode_first = false;
 
   std::string NextSpillPath() {
     return spill_dir + "/s" + std::to_string(spill_seq->fetch_add(1));

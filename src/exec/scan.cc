@@ -1,25 +1,11 @@
 #include "exec/scan.h"
 
 #include <algorithm>
-#include <atomic>
 
 #include "common/hash.h"
 #include "storage/sort_util.h"
 
 namespace stratica {
-
-namespace {
-
-std::atomic<bool> g_encoded_exec_enabled{true};
-
-}  // namespace
-
-void SetEncodedExecutionEnabled(bool on) {
-  g_encoded_exec_enabled.store(on, std::memory_order_relaxed);
-}
-bool EncodedExecutionEnabled() {
-  return g_encoded_exec_enabled.load(std::memory_order_relaxed);
-}
 
 namespace {
 
@@ -47,6 +33,39 @@ void RemapColumnRefs(Expr* e, const std::vector<int>& pos) {
     e->column_index = pos[e->column_index];
   }
   for (auto& c : e->children) RemapColumnRefs(c.get(), pos);
+}
+
+/// Carve a snapshot's containers into block-range morsels, in claim order.
+/// Each container is split into up to `k` contiguous block ranges (never
+/// fewer than one block per range — a single-block container is one
+/// indivisible morsel), so one large container still spreads across all
+/// fragments (Section 3.5: runtime division into logical regions, no
+/// physical sub-partitioning). The ranges are dealt round-robin into k
+/// lists that are concatenated, so consecutive claims spread across
+/// containers instead of serializing on one.
+std::vector<ScanRegion> PlanScanRegions(const StorageSnapshot& snap, size_t k) {
+  std::vector<ScanRegion> all;
+  for (const auto& c : snap.ros) {
+    size_t num_blocks = c->columns.empty() ? 0 : c->columns[0].meta.blocks.size();
+    if (num_blocks <= 1) {
+      all.push_back({c, 0, SIZE_MAX});
+      continue;
+    }
+    size_t pieces = std::min(k, num_blocks);
+    size_t per = num_blocks / pieces, extra = num_blocks % pieces;
+    size_t lo = 0;
+    for (size_t p = 0; p < pieces; ++p) {
+      size_t take = per + (p < extra ? 1 : 0);
+      all.push_back({c, lo, lo + take});
+      lo += take;
+    }
+  }
+  std::vector<ScanRegion> out;
+  out.reserve(all.size());
+  for (size_t list = 0; list < k; ++list) {
+    for (size_t i = list; i < all.size(); i += k) out.push_back(all[i]);
+  }
+  return out;
 }
 
 }  // namespace
@@ -93,46 +112,12 @@ struct ScanOperator::SourceMergeInput : public MergeInput {
 ScanOperator::ScanOperator(ScanSpec spec) : spec_(std::move(spec)) {}
 ScanOperator::~ScanOperator() = default;
 
-std::vector<std::vector<ScanRegion>> PlanScanRegions(const StorageSnapshot& snap,
-                                                     size_t k) {
-  if (k == 0) k = 1;
-  // Split every container into ~k block ranges, then deal ranges round-robin
-  // so each worker touches a balanced share of every container — one large
-  // container still spreads across all k workers (Section 3.5: runtime
-  // division into logical regions, no physical sub-partitioning).
-  std::vector<ScanRegion> all;
-  for (const auto& c : snap.ros) {
-    size_t num_blocks = c->columns.empty() ? 0 : c->columns[0].meta.blocks.size();
-    if (num_blocks <= 1 || k == 1) {
-      all.push_back({c, 0, SIZE_MAX});
-      continue;
-    }
-    size_t pieces = std::min(k, num_blocks);
-    size_t per = num_blocks / pieces, extra = num_blocks % pieces;
-    size_t lo = 0;
-    for (size_t p = 0; p < pieces; ++p) {
-      size_t take = per + (p < extra ? 1 : 0);
-      all.push_back({c, lo, lo + take});
-      lo += take;
-    }
-  }
-  std::vector<std::vector<ScanRegion>> out(k);
-  for (size_t i = 0; i < all.size(); ++i) out[i % k].push_back(all[i]);
-  return out;
-}
-
 const StorageSnapshot& MorselDispenser::EnsureSnapshot(ProjectionStorage* storage,
                                                        Epoch epoch, uint64_t txn_id) {
   std::lock_guard lock(mu_);
   if (!snapped_) {
     snap_ = storage->GetSnapshot(epoch, txn_id);
-    auto lists = PlanScanRegions(snap_, fanout_ * kMorselsPerWorker);
-    // Flatten the per-worker lists into one claim queue; the round-robin
-    // deal already interleaved containers, so consecutive claims spread
-    // across containers instead of serializing on one.
-    for (auto& list : lists) {
-      for (auto& r : list) morsels_.push_back(std::move(r));
-    }
+    morsels_ = PlanScanRegions(snap_, fanout_ * kMorselsPerWorker);
     snapped_ = true;
   }
   return snap_;
@@ -262,15 +247,9 @@ Status ScanOperator::Open(ExecContext* ctx) {
     // ROS sources open lazily as morsels are claimed (GetNext); only the
     // WOS — one indivisible morsel — is materialized here, by the single
     // fragment that wins the claim.
-    if (spec_.include_wos && !Abandoned() && spec_.morsels->ClaimWos()) {
+    if (!Abandoned() && spec_.morsels->ClaimWos()) {
       STRATICA_RETURN_NOT_OK(OpenWosSource());
     }
-  } else if (spec_.use_regions) {
-    for (const auto& region : spec_.regions) {
-      if (Abandoned()) break;
-      STRATICA_RETURN_NOT_OK(OpenContainerSource(region));
-    }
-    if (spec_.include_wos && !Abandoned()) STRATICA_RETURN_NOT_OK(OpenWosSource());
   } else {
     for (const auto& c : snap_.ros) {
       if (Abandoned()) break;
@@ -357,7 +336,7 @@ Status ScanOperator::ComputeSelection(Source* src, size_t block_idx, uint64_t ro
   if (src != nullptr && src->epoch_reader) {
     ColumnVector epochs(TypeId::kInt64);
     STRATICA_RETURN_NOT_OK(
-        NoteRosFailure(src, src->epoch_reader->ReadBlock(block_idx, false, &epochs)));
+        NoteRosFailure(src, src->epoch_reader->ReadBlock(block_idx, &epochs)));
     for (size_t i = 0; i < n; ++i) {
       if (static_cast<Epoch>(epochs.ints[i]) > ctx_->epoch) (*sel)[i] = 0;
     }
@@ -561,20 +540,17 @@ Status ScanOperator::AdvanceRos(Source* src) {
                            src->epoch_reader != nullptr || any_sip_ready;
 
     // Compressed execution (DESIGN.md §13): when the planner asked for
-    // encoded output (and the process-wide switch is on), blocks leave the
-    // scan as encoded-or-decoded views — RLE runs and dict codes survive
-    // into the output block, re-cut by the selection when rows filter.
-    bool emit_encoded =
-        spec_.encoded_output && EncodedExecutionEnabled() && !merge_mode_;
+    // encoded output, blocks leave the scan as encoded-or-decoded views —
+    // RLE runs and dict codes survive into the output block, re-cut by the
+    // selection when rows filter.
+    bool emit_encoded = spec_.encoded_output && !ctx_->decode_first && !merge_mode_;
 
-    if (!need_row_filter || spec_.eager_decode) {
-      // Eager path: nothing filters rows (RLE passthrough may engage), or
-      // late materialization is explicitly disabled for A/B comparison.
+    if (!need_row_filter || ctx_->decode_first) {
+      // Eager path: nothing filters rows, or the query asked for the
+      // decode-first reference (every column flat before filtering).
       RowBlock block(spec_.output_types);
-      bool keep_runs = spec_.rle_passthrough && !merge_mode_ && !need_row_filter;
-      bool views = emit_encoded && !need_row_filter && !spec_.eager_decode;
       for (size_t c = 0; c < src->readers.size(); ++c) {
-        if (views) {
+        if (emit_encoded) {
           EncodedBlockView view;
           STRATICA_RETURN_NOT_OK(
               NoteRosFailure(src, src->readers[c].ReadBlockView(b, &view)));
@@ -584,12 +560,12 @@ Status ScanOperator::AdvanceRos(Source* src) {
           }
           block.columns[c] = std::move(view.column);
         } else {
-          STRATICA_RETURN_NOT_OK(NoteRosFailure(
-              src, src->readers[c].ReadBlock(b, keep_runs, &block.columns[c])));
+          STRATICA_RETURN_NOT_OK(
+              NoteRosFailure(src, src->readers[c].ReadBlock(b, &block.columns[c])));
         }
       }
       if (need_row_filter) {
-        // Columns are flat here: keep_runs is false whenever filtering runs.
+        // Columns are flat here: filtering on this path means decode_first.
         size_t selected = 0;
         STRATICA_RETURN_NOT_OK(ComputeSelection(src, b, bm0.row_start, &block, n,
                                                 spec_.predicate.get(),
@@ -609,21 +585,14 @@ Status ScanOperator::AdvanceRos(Source* src) {
     // Late materialization (DESIGN.md §7): read and decode only the filter
     // view, compute the full selection from it, and touch payload columns
     // only for surviving rows — not at all when the block comes back empty.
-    // With encoded execution on, filter columns are read as encoded views so
-    // the predicate can evaluate by run / dictionary entry.
-    bool filter_views = EncodedExecutionEnabled() && !spec_.eager_decode;
+    // Filter columns are read as encoded views so the predicate can
+    // evaluate by run / dictionary entry.
     RowBlock fblock(filter_types_);
     for (size_t i = 0; i < filter_cols_.size(); ++i) {
-      if (filter_views) {
-        EncodedBlockView view;
-        STRATICA_RETURN_NOT_OK(NoteRosFailure(
-            src, src->readers[filter_cols_[i]].ReadBlockView(b, &view)));
-        fblock.columns[i] = std::move(view.column);
-      } else {
-        STRATICA_RETURN_NOT_OK(NoteRosFailure(
-            src,
-            src->readers[filter_cols_[i]].ReadBlock(b, false, &fblock.columns[i])));
-      }
+      EncodedBlockView view;
+      STRATICA_RETURN_NOT_OK(NoteRosFailure(
+          src, src->readers[filter_cols_[i]].ReadBlockView(b, &view)));
+      fblock.columns[i] = std::move(view.column);
     }
     size_t selected = 0;
     STRATICA_RETURN_NOT_OK(ComputeSelection(src, b, bm0.row_start, &fblock, n,
@@ -683,7 +652,7 @@ Status ScanOperator::AdvanceRos(Source* src) {
       } else if (selected == n) {
         // Fully-selected block: the plain decoder is the fastest gather.
         STRATICA_RETURN_NOT_OK(
-            NoteRosFailure(src, src->readers[c].ReadBlock(b, false, &block.columns[c])));
+            NoteRosFailure(src, src->readers[c].ReadBlock(b, &block.columns[c])));
         if (ctx_->stats) ctx_->stats->rows_decoded.fetch_add(n);
       } else {
         STRATICA_RETURN_NOT_OK(NoteRosFailure(
@@ -774,9 +743,7 @@ std::string ScanOperator::DebugString() const {
   if (!spec_.sips.empty()) s += ", SIP filters: " + std::to_string(spec_.sips.size());
   if (spec_.morsels) s += ", morsels";
   if (spec_.sorted_output) s += ", sorted";
-  if (spec_.rle_passthrough) s += ", rle";
   if (spec_.encoded_output) s += ", encoded";
-  if (spec_.eager_decode) s += ", eager";
   s += ")";
   return s;
 }

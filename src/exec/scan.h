@@ -6,10 +6,13 @@
 //   - epoch (snapshot) filtering via the implicit epoch column,
 //   - delete-vector filtering,
 //   - vectorized predicate evaluation,
-//   - Sideways Information Passing filters installed by hash joins,
-//   - optional RLE passthrough so downstream operators work on encoded data,
-//   - optional sorted output (k-way merge of sorted sources) for merge
-//     joins and pipelined aggregation.
+//   - Sideways Information Passing filters installed by hash joins.
+// The planner picks one of three output shapes per scan: sorted output
+// (k-way merge of sorted sources) for merge joins and pipelined
+// aggregation, encoded output (RLE runs / dict codes) for encoded-aware
+// consumers, or morsels claimed from a dispenser shared by parallel
+// fragments. Late materialization needs no mode: it is on unless
+// ExecContext::decode_first selects the decode-first reference path.
 #ifndef STRATICA_EXEC_SCAN_H_
 #define STRATICA_EXEC_SCAN_H_
 
@@ -45,7 +48,7 @@ struct PruneBound {
   Value value;
 };
 
-/// A slice of one container's blocks, for intra-node parallel scans
+/// A slice of one container's blocks — one morsel of a parallel scan
 /// (Section 3.5: runtime division into logical regions, no physical
 /// sub-partitioning required).
 struct ScanRegion {
@@ -58,12 +61,11 @@ struct ScanRegion {
 ///
 /// Every sibling fragment scan of a unit holds the same dispenser. The
 /// first fragment to Open snapshots the storage and carves the snapshot
-/// into morsels (block-range ScanRegions via PlanScanRegions) under the
-/// lock; later fragments reuse that snapshot, so all fragments see one
-/// consistent epoch/container set. Fragments then claim morsels one at a
-/// time — dynamic self-scheduling, so a fragment stuck on an expensive
-/// morsel simply claims fewer of them. The WOS is a single implicit morsel
-/// claimed by exactly one fragment.
+/// into block-range morsels under the lock; later fragments reuse that
+/// snapshot, so all fragments see one consistent epoch/container set.
+/// Fragments then claim morsels one at a time — dynamic self-scheduling,
+/// so a fragment stuck on an expensive morsel simply claims fewer of them.
+/// The WOS is a single implicit morsel claimed by exactly one fragment.
 class MorselDispenser {
  public:
   /// `fanout` is the number of sibling fragments that will share this
@@ -98,9 +100,9 @@ class MorselDispenser {
 };
 
 /// \brief Everything a ScanOperator needs: the storage to read, which
-/// projection columns to emit (and as what), and the filter/shape knobs —
-/// predicate + prune bounds + SIP filters, sorted or RLE-run output,
-/// fixed regions or a shared morsel dispenser.
+/// projection columns to emit (and as what), the filters — predicate +
+/// prune bounds + SIP filters — and the output shape: sorted, encoded or
+/// morsel-driven.
 struct ScanSpec {
   ProjectionStorage* storage = nullptr;
   std::vector<int> projection_columns;  ///< projection col idx, in output order
@@ -113,40 +115,27 @@ struct ScanSpec {
   bool sorted_output = false;
   std::vector<uint32_t> sort_key_outputs;  ///< output indexes of sort prefix
 
-  bool rle_passthrough = false;  ///< emit runs on RLE blocks (single source)
-
   /// Compressed execution (DESIGN.md §13): emit encoded-or-decoded views —
   /// RLE blocks keep runs, BlockDict blocks keep codes + a shared sorted
   /// dictionary — so encoded-aware consumers (group-by, aggregation,
-  /// projection passthrough) work without expansion. Unlike
-  /// rle_passthrough it survives row filters (runs are re-cut by the
-  /// selection) and multi-source scans (no ordering requirement), but it is
-  /// incompatible with sorted merge output (cross-block keys need values).
-  /// The planner sets it only when the consuming chain is encoded-aware.
+  /// projection passthrough) work without expansion. It survives row
+  /// filters (runs are re-cut by the selection) and multi-source scans (no
+  /// ordering requirement), but not sorted merge output (cross-block keys
+  /// need values). The planner sets it only when the consuming chain is
+  /// encoded-aware; ExecContext::decode_first overrides it.
   bool encoded_output = false;
 
-  bool use_regions = false;  ///< restrict to `regions` (+ WOS if include_wos)
-  std::vector<ScanRegion> regions;
-  bool include_wos = true;
-
   /// Morsel-driven mode (DESIGN.md §12): claim block ranges from a shared
-  /// dispenser instead of scanning fixed regions. Takes precedence over
-  /// use_regions; include_wos still gates the WOS, but only the fragment
-  /// that wins MorselDispenser::ClaimWos scans it. Incompatible with
+  /// dispenser instead of scanning the whole snapshot; only the fragment
+  /// that wins MorselDispenser::ClaimWos scans the WOS. Incompatible with
   /// sorted_output (a morsel stream has no global order).
   std::shared_ptr<MorselDispenser> morsels;
-
-  /// Disable late materialization: read + decode every projection column of
-  /// every block before filtering (the legacy eager behavior). Kept as an
-  /// A/B knob for benchmarks and differential tests; production plans leave
-  /// it off. See DESIGN.md §7.
-  bool eager_decode = false;
 };
 
 /// \brief Late-materializing columnar scan (DESIGN.md §7): decodes filter
 /// columns first, computes the selection (epoch visibility, delete
 /// vectors, predicate, SIP), and decodes payload columns only for
-/// surviving rows. Reads ROS containers and, when included, the WOS; in
+/// surviving rows. Reads ROS containers and the WOS; in
 /// morsel mode (ScanSpec::morsels) it claims block ranges from the shared
 /// dispenser until drained, polling ExecContext::abandon between storage
 /// operations.
@@ -235,25 +224,6 @@ class ScanOperator : public Operator {
   std::vector<uint8_t> hit_buf_;
   std::vector<uint8_t> null_buf_;
 };
-
-/// Carve a snapshot's containers into `k` balanced lists of block-range
-/// morsels. Each container is split into up to `k` contiguous block ranges
-/// (never fewer than one block per range — a single-block container is one
-/// indivisible morsel), and the ranges are dealt round-robin so every list
-/// holds a similar share of every container. Callers pick `k` to set morsel
-/// grain: static fragment assignment passes k = fan-out (one list per
-/// worker); the MorselDispenser passes k = fan-out × kMorselsPerWorker and
-/// flattens the lists into one claim queue, trading slightly smaller
-/// morsels for dynamic load balancing under skew (DESIGN.md §12).
-std::vector<std::vector<ScanRegion>> PlanScanRegions(const StorageSnapshot& snap,
-                                                     size_t k);
-
-/// Process-wide compressed-execution switch (default on). Off = scans decode
-/// every block flat and the planner never requests encoded output — the
-/// decode-first baseline for benchmarks and differential tests. Reads are
-/// relaxed-atomic; flip only between queries.
-void SetEncodedExecutionEnabled(bool on);
-bool EncodedExecutionEnabled();
 
 }  // namespace stratica
 

@@ -32,7 +32,7 @@ Scheduler::~Scheduler() {
   // drains first); run nothing, just drop.
   {
     std::lock_guard lock(pin_mu_);
-    stop_ = true;
+    pin_stop_ = true;
   }
   pin_cv_.notify_all();
   // Joins block until in-flight pinned functions return — callers are
@@ -215,7 +215,7 @@ void Scheduler::PinnedLoop(PinnedJob first) {
     {
       std::unique_lock lock(pin_mu_);
       ++pin_idle_;
-      pin_cv_.wait(lock, [&] { return stop_ || !pin_queue_.empty(); });
+      pin_cv_.wait(lock, [&] { return pin_stop_ || !pin_queue_.empty(); });
       if (!pin_queue_.empty()) {
         // pin_idle_ was already decremented by the submitter that queued
         // this job on our behalf.

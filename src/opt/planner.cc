@@ -761,21 +761,20 @@ Result<PhysicalPlan> Planner::PlanSelect(const SelectStmt& stmt,
   // ---- intra-node fan-out gate (DESIGN.md §12) -------------------------------
   // A unit pipeline splits into `fanout` morsel-driven fragments when the
   // fact is big enough to amortize the extra pipelines and nothing in the
-  // plan needs what fragments cannot give: order-carrying scans
-  // (sorted_output / rle_passthrough) would interleave arbitrarily under the
-  // ParallelUnion, and RIGHT/FULL joins must emit unmatched build rows
-  // exactly once, which a build shared across fragments cannot.
+  // plan needs what fragments cannot give: an order-carrying scan
+  // (sorted_output) would interleave arbitrarily under the ParallelUnion,
+  // and RIGHT/FULL joins must emit unmatched build rows exactly once,
+  // which a build shared across fragments cannot.
   size_t fanout = intra_node_parallelism == 0 ? 1 : intra_node_parallelism;
   bool morsel_bypass = false;
   if (fanout > 1) {
     constexpr uint64_t kMinParallelRowsPerUnit = 32768;
     bool ok = scope.tables[fact].est_rows >=
               kMinParallelRowsPerUnit * std::max<size_t>(num_units, 1);
-    const ScanSpec& ft = table_plans[fact].spec;
-    // Order-carrying scan shapes are planned serial *explicitly* and
-    // recorded (PhysicalPlan::morsel_bypass → ExecStats::morsel_bypasses),
-    // not silently dropped, so fan-out accounting stays honest.
-    bool order_carrying = ft.sorted_output || ft.rle_passthrough;
+    // Order-carrying scans are planned serial *explicitly* and recorded
+    // (PhysicalPlan::morsel_bypass → ExecStats::morsel_bypasses), not
+    // silently dropped, so fan-out accounting stays honest.
+    bool order_carrying = table_plans[fact].spec.sorted_output;
     if (ok && order_carrying) morsel_bypass = true;
     ok &= !order_carrying;
     for (const auto& step : *steps) {
@@ -790,8 +789,8 @@ Result<PhysicalPlan> Planner::PlanSelect(const SelectStmt& stmt,
   // the chain is encoded-aware: single-table aggregation stacks (ExprEval
   // passthrough → Filter → GroupBy all consume runs/codes directly). Joins,
   // window functions and plain row-returning SELECTs keep decoded scans —
-  // their consumers want flat vectors. The scan re-checks the process-wide
-  // switch at run time, so the A/B baseline needs no replan.
+  // their consumers want flat vectors. ExecContext::decode_first overrides
+  // the choice at run time, so the decode-first reference needs no replan.
   {
     bool agg_query = !stmt.group_by.empty() || !stmt.having_aggs.empty();
     bool window_query = false;
@@ -800,8 +799,7 @@ Result<PhysicalPlan> Planner::PlanSelect(const SelectStmt& stmt,
       window_query |= item.kind == SelectItem::Kind::kWindow;
     }
     ScanSpec& ft = table_plans[fact].spec;
-    if (agg_query && !window_query && steps->empty() && !ft.sorted_output &&
-        !ft.rle_passthrough && EncodedExecutionEnabled()) {
+    if (agg_query && !window_query && steps->empty() && !ft.sorted_output) {
       ft.encoded_output = true;
     }
   }
@@ -815,6 +813,17 @@ Result<PhysicalPlan> Planner::PlanSelect(const SelectStmt& stmt,
       [steps, fact_template = table_plans[fact].spec, residual_expr, fanout](
           ProjectionStorage* fact_storage, bool primary, size_t u,
           const FragmentFinisher& finish) -> Result<OperatorPtr> {
+    // Build side of one join step for this unit: a scan of the colocated
+    // build unit, or this unit's consumer of the broadcast.
+    auto make_build_side = [primary, u](const JoinStep& step) -> OperatorPtr {
+      if (step.colocated) {
+        ScanSpec s = step.build_spec;
+        s.storage = step.build_units[u % step.build_units.size()];
+        return std::make_unique<ScanOperator>(s);
+      }
+      return std::make_unique<BroadcastConsumerOperator>(step.broadcast,
+                                                         /*primary=*/primary && u == 0);
+    };
     // Fan-out state is created fresh per invocation: a hedge rebuild gets
     // its own dispenser and builds because the loser pipeline's entire
     // output (all its fragments) is dropped at the outer exchange slot.
@@ -823,21 +832,12 @@ Result<PhysicalPlan> Planner::PlanSelect(const SelectStmt& stmt,
     if (fanout > 1) {
       dispenser = std::make_shared<MorselDispenser>(fanout);
       for (const auto& step : *steps) {
-        OperatorPtr build_op;
-        if (step.colocated) {
-          ScanSpec s = step.build_spec;
-          s.storage = step.build_units[u % step.build_units.size()];
-          build_op = std::make_unique<ScanOperator>(s);
-        } else {
-          build_op = std::make_unique<BroadcastConsumerOperator>(
-              step.broadcast, /*primary=*/primary && u == 0);
-        }
         JoinSpec jspec = step.jspec;
         // The SIP is published exactly once, inside the shared build, before
         // any fragment's probe opens (same writer rule as the serial path).
         if (primary && u == 0) jspec.sip = step.sip;
         shared_builds.push_back(std::make_shared<SharedJoinBuild>(
-            std::move(build_op), std::move(jspec), fanout));
+            make_build_side(step), std::move(jspec), fanout));
       }
     }
     auto build_fragment = [&](size_t f) -> Result<OperatorPtr> {
@@ -861,17 +861,8 @@ Result<PhysicalPlan> Planner::PlanSelect(const SelectStmt& stmt,
         // passes rows through) but never write them, so a replacement racing
         // its orphaned primary cannot corrupt the filter.
         if (primary && u == 0) jspec.sip = step.sip;
-        OperatorPtr build_side_op;
-        if (step.colocated) {
-          ScanSpec s = step.build_spec;
-          s.storage = step.build_units[u % step.build_units.size()];
-          build_side_op = std::make_unique<ScanOperator>(s);
-        } else {
-          build_side_op = std::make_unique<BroadcastConsumerOperator>(
-              step.broadcast, /*primary=*/primary && u == 0);
-        }
         stream = std::make_unique<HashJoinOperator>(std::move(stream),
-                                                    std::move(build_side_op), jspec);
+                                                    make_build_side(step), jspec);
       }
       if (residual_expr) {
         stream = std::make_unique<FilterOperator>(std::move(stream), residual_expr);

@@ -1,15 +1,12 @@
 #include "storage/sort_util.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <numeric>
 
 namespace stratica {
 
 namespace {
-
-std::atomic<bool> g_normalized_keys_enabled{true};
 
 /// Order-preserving transform of an int64: flip the sign bit so the
 /// unsigned/byte order equals the signed order.
@@ -100,14 +97,6 @@ inline void AppendColumnKey(const ColumnVector& col, size_t row, bool descending
 }
 
 }  // namespace
-
-void SetNormalizedKeySortEnabled(bool enabled) {
-  g_normalized_keys_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool NormalizedKeySortEnabled() {
-  return g_normalized_keys_enabled.load(std::memory_order_relaxed);
-}
 
 int CompareRowsDirected(const RowBlock& a, size_t ia, const RowBlock& b, size_t ib,
                         const std::vector<SortKey>& keys) {
@@ -319,16 +308,20 @@ std::vector<uint32_t> RadixSortPermutation(const NormalizedKeys& nk, size_t n) {
 
 }  // namespace
 
+std::vector<uint32_t> ComputeSortPermutationComparator(const RowBlock& block,
+                                                       const std::vector<SortKey>& keys) {
+  std::vector<uint32_t> perm(block.NumRows());
+  std::iota(perm.begin(), perm.end(), 0);
+  std::stable_sort(perm.begin(), perm.end(), [&](uint32_t a, uint32_t b) {
+    return CompareRowsDirected(block, a, block, b, keys) < 0;
+  });
+  return perm;
+}
+
 std::vector<uint32_t> ComputeSortPermutationDirected(const RowBlock& block,
                                                      const std::vector<SortKey>& keys) {
   std::vector<uint32_t> perm(block.NumRows());
   std::iota(perm.begin(), perm.end(), 0);
-  if (!NormalizedKeySortEnabled()) {
-    std::stable_sort(perm.begin(), perm.end(), [&](uint32_t a, uint32_t b) {
-      return CompareRowsDirected(block, a, block, b, keys) < 0;
-    });
-    return perm;
-  }
   NormalizedKeys nk;
   // Block-local sort: sorted-dict key columns may sort by code directly.
   BuildNormalizedKeys(block, keys, &nk, /*allow_dict_codes=*/true);

@@ -27,7 +27,7 @@ struct SortKey {
 };
 
 /// Compare rows under directed sort keys (NULL first under ASC; the
-/// comparator fallback of the normalized-key paths).
+/// comparator reference of the normalized-key paths).
 int CompareRowsDirected(const RowBlock& a, size_t ia, const RowBlock& b, size_t ib,
                         const std::vector<SortKey>& keys);
 
@@ -37,12 +37,6 @@ int CompareRowsDirected(const RowBlock& a, size_t ia, const RowBlock& b, size_t 
 /// orders agree; CompareRowsDirected has no NaN order at all.
 int CompareRowsDirectedTotal(const RowBlock& a, size_t ia, const RowBlock& b,
                              size_t ib, const std::vector<SortKey>& keys);
-
-/// A/B knob (DESIGN.md §8): when disabled, ComputeSortPermutation* and the
-/// loser-tree merge fall back to per-row comparator sort. On by default;
-/// benches and differential tests toggle it.
-void SetNormalizedKeySortEnabled(bool enabled);
-bool NormalizedKeySortEnabled();
 
 /// \brief Packed, byte-comparable composite keys for one block.
 ///
@@ -101,9 +95,15 @@ void AppendNormalizedKey(const RowBlock& block, size_t row,
                          std::vector<uint8_t>* out);
 
 /// Stable sort permutation of `block`'s rows under directed keys, via
-/// normalized keys (or the comparator fallback when the knob is off).
+/// normalized keys.
 std::vector<uint32_t> ComputeSortPermutationDirected(const RowBlock& block,
                                                      const std::vector<SortKey>& keys);
+
+/// The same permutation by std::stable_sort over CompareRowsDirected — the
+/// per-row comparator reference that tests and benches hold the
+/// normalized-key sort to (DESIGN.md §8).
+std::vector<uint32_t> ComputeSortPermutationComparator(const RowBlock& block,
+                                                       const std::vector<SortKey>& keys);
 
 /// Stable sort permutation of `block`'s rows by the given key columns
 /// (ascending, NULL first). The block must be flat (no RLE columns).

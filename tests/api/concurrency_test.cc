@@ -85,13 +85,18 @@ TEST(ConcurrencyTest, MixedWorkloadMatchesSerialOracle) {
   MustExec(&db, "CREATE TABLE u (id INT NOT NULL, val INT)");
 
   constexpr int kWriters = 3;
+  constexpr int kReaders = 3;
   constexpr int kBatchesPerWriter = 8;
   constexpr int kBatchRows = 10;
   std::atomic<bool> writers_done{false};
+  // Start gate: writers wait until every reader has finished one read, so
+  // reads overlap the writes however the threads are scheduled.
+  std::atomic<int> readers_started{0};
 
   std::vector<std::thread> writers;
   for (int w = 0; w < kWriters; ++w) {
     writers.emplace_back([&, w] {
+      while (readers_started.load() < kReaders) std::this_thread::yield();
       for (int b = 0; b < kBatchesPerWriter; ++b) {
         int base = (w * kBatchesPerWriter + b) * kBatchRows;
         std::string sql = "INSERT INTO u VALUES ";
@@ -115,10 +120,14 @@ TEST(ConcurrencyTest, MixedWorkloadMatchesSerialOracle) {
 
   std::vector<std::thread> readers;
   std::atomic<uint64_t> reads{0};
-  for (int r = 0; r < 3; ++r) {
+  for (int r = 0; r < kReaders; ++r) {
     readers.emplace_back([&] {
+      bool first = true;
       while (!writers_done.load()) {
         auto res = db.Execute("SELECT COUNT(*) AS n, SUM(val) AS s FROM u");
+        // Counted before the checks, so a failing read still opens the gate.
+        if (first) readers_started.fetch_add(1);
+        first = false;
         ASSERT_TRUE(res.ok()) << res.status().ToString();
         int64_t n = res.value().At(0, 0).i64();
         ASSERT_EQ(n % kBatchRows, 0)

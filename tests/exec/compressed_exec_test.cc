@@ -1,17 +1,18 @@
 // Compressed-execution differential sweep (DESIGN.md §13): every query
 // shape (predicate, aggregate, group-by, order-by, having) runs twice —
-// once with encoded execution on (the default) and once with the global
-// toggle off, which restores the decode-first pipeline — over projections
-// that pin each column to a specific encoding (RLE, BlockDict, Delta,
-// plain). Results must match cell for cell, and queries expected to ride
-// an encoded fast path must report rows_processed_encoded > 0.
+// once with encoded execution (the default) and once on the decode-first
+// reference path (Database::SetDecodeFirst) — over projections that pin
+// each column to a specific encoding (RLE, BlockDict, Delta, plain).
+// Results must match cell for cell, and queries expected to ride an
+// encoded fast path must report rows_processed_encoded > 0.
 //
 // A second table repeats the sweep with NULLs sprinkled through every
-// nullable column, and operator-level tests cross-check the scan's
-// encoded_output contract against the eager_decode oracle directly.
+// nullable column, and a second database proves decode-first is a
+// per-database setting: both run the sweep at once from two threads.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "api/database.h"
@@ -67,22 +68,24 @@ std::string Format(const char* tpl, const std::string& table) {
 
 class CompressedExecFixture : public ::testing::Test {
  protected:
-  CompressedExecFixture() {
+  CompressedExecFixture() : db_(MakeDatabase()) {}
+
+  // Both sweep tables, loaded and moved to the ROS.
+  static std::unique_ptr<Database> MakeDatabase() {
     DatabaseOptions opts;
     opts.num_nodes = 1;
     opts.k_safety = 0;
-    db_ = std::make_unique<Database>(opts);
-    MakeTable("t", /*with_nulls=*/false);
-    MakeTable("tn", /*with_nulls=*/true);
-    EXPECT_TRUE(db_->RunTupleMover().ok());
+    auto db = std::make_unique<Database>(opts);
+    MakeTable(db.get(), "t", /*with_nulls=*/false);
+    MakeTable(db.get(), "tn", /*with_nulls=*/true);
+    EXPECT_TRUE(db->RunTupleMover().ok());
+    return db;
   }
-
-  ~CompressedExecFixture() override { SetEncodedExecutionEnabled(true); }
 
   // Column encodings are pinned so every sweep shape exercises a known
   // representation: k2/k16 RLE (they lead the sort order), s BlockDict,
   // v delta, f/id plain.
-  void MakeTable(const std::string& name, bool with_nulls) {
+  static void MakeTable(Database* db, const std::string& name, bool with_nulls) {
     TableDef t;
     t.name = name;
     t.columns = {{"k2", TypeId::kInt64, false}, {"k16", TypeId::kInt64, true},
@@ -100,8 +103,8 @@ class CompressedExecFixture : public ::testing::Test {
     p.sort_columns = {0, 1};
     p.is_super = true;
     p.segmentation.expr = Func(FuncKind::kHash, {Col("id")});
-    ASSERT_TRUE(db_->catalog()->CreateTable(std::move(t)).ok());
-    ASSERT_TRUE(db_->cluster()->CreateProjectionWithBuddies(p).ok());
+    ASSERT_TRUE(db->catalog()->CreateTable(std::move(t)).ok());
+    ASSERT_TRUE(db->cluster()->CreateProjectionWithBuddies(p).ok());
 
     RowBlock rows({TypeId::kInt64, TypeId::kInt64, TypeId::kString,
                    TypeId::kInt64, TypeId::kFloat64, TypeId::kInt64});
@@ -124,13 +127,13 @@ class CompressedExecFixture : public ::testing::Test {
         if (i % 5 == 0) rows.columns[4].nulls[i] = 1;
       }
     }
-    ASSERT_TRUE(db_->Load(name, rows).ok());
+    ASSERT_TRUE(db->Load(name, rows).ok());
   }
 
   QueryResult RunWith(bool encoded, const std::string& sql) {
-    SetEncodedExecutionEnabled(encoded);
+    db_->SetDecodeFirst(!encoded);
     auto result = db_->Execute(sql);
-    SetEncodedExecutionEnabled(true);
+    db_->SetDecodeFirst(false);
     EXPECT_TRUE(result.ok()) << sql << "\n" << result.status().ToString();
     return result.ok() ? std::move(result).value() : QueryResult{};
   }
@@ -174,6 +177,38 @@ TEST_F(CompressedExecFixture, DifferentialSweepDense) {
 
 TEST_F(CompressedExecFixture, DifferentialSweepWithNulls) {
   SweepTable("tn", /*nullable=*/true);
+}
+
+// Decode-first is a per-database setting: a second database with the same
+// data runs the sweep on the reference path while this one runs it encoded,
+// both at once. The answers must match, and only the encoded database may
+// touch an encoded fast path.
+TEST_F(CompressedExecFixture, DecodeFirstIsPerDatabase) {
+  std::unique_ptr<Database> reference = MakeDatabase();
+  reference->SetDecodeFirst(true);
+  std::vector<std::string> sqls;
+  for (const char* table : {"t", "tn"}) {
+    for (const SweepQuery& q : kSweep) sqls.push_back(Format(q.sql, table));
+  }
+  auto sweep = [&sqls](Database* db, std::vector<Result<QueryResult>>* out) {
+    for (const auto& sql : sqls) out->push_back(db->Execute(sql));
+  };
+  std::vector<Result<QueryResult>> encoded, decoded;
+  std::thread encoded_thread(sweep, db_.get(), &encoded);
+  std::thread decoded_thread(sweep, reference.get(), &decoded);
+  encoded_thread.join();
+  decoded_thread.join();
+
+  ASSERT_EQ(encoded.size(), sqls.size());
+  ASSERT_EQ(decoded.size(), sqls.size());
+  for (size_t i = 0; i < sqls.size(); ++i) {
+    ASSERT_TRUE(encoded[i].ok()) << sqls[i] << "\n" << encoded[i].status().ToString();
+    ASSERT_TRUE(decoded[i].ok()) << sqls[i] << "\n" << decoded[i].status().ToString();
+    ExpectSameResults(encoded[i].value(), decoded[i].value(), sqls[i]);
+  }
+  EXPECT_GT(db_->stats()->rows_processed_encoded.load(), 0u);
+  EXPECT_EQ(reference->stats()->rows_processed_encoded.load(), 0u);
+  EXPECT_EQ(reference->stats()->decode_elided_bytes.load(), 0u);
 }
 
 // The decode-elision counter must move for an encoded aggregate scan: the
@@ -241,9 +276,7 @@ TEST(CompressedSortTest, SortedDictPermutationMatchesComparator) {
 
   std::vector<SortKey> keys = {{0, false}, {1, true}};
   auto normalized = ComputeSortPermutationDirected(block, keys);
-  SetNormalizedKeySortEnabled(false);
-  auto comparator = ComputeSortPermutationDirected(block, keys);
-  SetNormalizedKeySortEnabled(true);
+  auto comparator = ComputeSortPermutationComparator(block, keys);
   EXPECT_EQ(normalized, comparator);
 }
 

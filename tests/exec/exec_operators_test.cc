@@ -21,8 +21,8 @@ class ExecFixture : public ::testing::Test {
     ccfg.num_nodes = 1;
     ccfg.k_safety = 0;
     ccfg.direct_ros_row_threshold = 1000000;
-    // Single local segment => one container after moveout, so the RLE
-    // passthrough path (single sorted source) engages.
+    // Single local segment => one container after moveout, so an encoded
+    // scan is one sorted source that keeps its RLE runs.
     ccfg.local_segments_per_node = 1;
     cluster_ = std::make_unique<Cluster>(ccfg, &fs_, &catalog_);
     TableDef t;
@@ -170,7 +170,7 @@ TEST_F(ExecFixture, HashGroupBySpillsUnderTinyBudgetSameAnswer) {
 
 TEST_F(ExecFixture, PipelinedGroupByConsumesRleRuns) {
   ScanSpec sspec = BaseScan();
-  sspec.rle_passthrough = true;
+  sspec.encoded_output = true;
   sspec.sorted_output = true;
   sspec.sort_key_outputs = {0};
   GroupBySpec spec;
@@ -374,15 +374,26 @@ TEST_F(ExecFixture, AnalyticWindowFunctions) {
 
 TEST_F(ExecFixture, RepartitionExchangeParallelGroupBy) {
   // Figure 3 shape: StorageUnion resegments to parallel GroupBys whose
-  // results merge through a ParallelUnion.
-  auto snap = ps_->GetSnapshot(ctx_.epoch);
-  auto regions = PlanScanRegions(snap, 2);
+  // results merge through a ParallelUnion. 100 more rows stay in the WOS,
+  // so the per-group totals prove the two fragments sharing one morsel
+  // dispenser scan the WOS exactly once.
+  RowBlock more({TypeId::kInt64, TypeId::kInt64, TypeId::kFloat64});
+  for (int i = 1000; i < 1100; ++i) {
+    more.columns[0].ints.push_back(i);
+    more.columns[1].ints.push_back(i % 10);
+    more.columns[2].doubles.push_back(i * 0.5);
+  }
+  auto txn = cluster_->txns()->Begin();
+  ASSERT_TRUE(cluster_->Load("sales", more, txn.get()).ok());
+  ASSERT_TRUE(cluster_->Commit(txn).ok());
+  ctx_.epoch = cluster_->epochs()->LatestQueryableEpoch();
+  ASSERT_FALSE(ps_->GetSnapshot(ctx_.epoch).wos.empty());
+
+  auto dispenser = std::make_shared<MorselDispenser>(2);
   std::vector<OperatorPtr> producers;
-  for (auto& region_list : regions) {
+  for (int f = 0; f < 2; ++f) {
     ScanSpec s = BaseScan();
-    s.use_regions = true;
-    s.regions = region_list;
-    s.include_wos = producers.empty();
+    s.morsels = dispenser;
     producers.push_back(std::make_unique<ScanOperator>(s));
   }
   auto consumers = MakeRepartitionExchange(std::move(producers), 3, {0},
@@ -400,11 +411,15 @@ TEST_F(ExecFixture, RepartitionExchangeParallelGroupBy) {
   auto rows = DrainOperator(root.get(), &ctx_);
   ASSERT_TRUE(rows.ok());
   // Resegmentation by cust means each group computed exactly once.
-  EXPECT_EQ(rows.value().NumRows(), 10u);
-  double total = 0;
-  for (size_t r = 0; r < rows.value().NumRows(); ++r)
-    total += rows.value().columns[1].doubles[r];
-  EXPECT_DOUBLE_EQ(total, 999 * 1000 / 2 * 0.5);
+  ASSERT_EQ(rows.value().NumRows(), 10u);
+  for (size_t r = 0; r < 10; ++r) {
+    int64_t cust = rows.value().columns[0].ints[r];
+    double want = 0;
+    for (int i = 0; i < 1100; ++i) {
+      if (i % 10 == cust) want += i * 0.5;
+    }
+    EXPECT_DOUBLE_EQ(rows.value().columns[1].doubles[r], want) << "cust " << cust;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -510,11 +525,11 @@ TEST_F(LateMatFixture, StatsProveSelectiveDecode) {
   EXPECT_GT(stats_.bytes_read.load(), 0u);
   EXPECT_EQ(stats_.rows_scanned.load(), 40000u);
 
-  // The eager A/B knob pays for every payload block.
+  // The decode-first reference pays for every payload block.
   ExecStats eager_stats;
   ExecContext eager_ctx = ctx_;
   eager_ctx.stats = &eager_stats;
-  spec.eager_decode = true;
+  eager_ctx.decode_first = true;
   ScanOperator eager(spec);
   auto eager_rows = DrainOperator(&eager, &eager_ctx);
   ASSERT_TRUE(eager_rows.ok());
@@ -554,7 +569,6 @@ TEST_F(LateMatFixture, MatchesEagerWithDeletesEpochPredicateAndSip) {
 
   auto run = [&](bool eager) {
     ScanSpec spec = BaseScan();
-    spec.eager_decode = eager;
     spec.predicate = BoundPred(Cmp(CompareOp::kLt, Col("k"), Lit(Value::Int64(5000))));
     auto sip = std::make_shared<SipFilter>();
     sip->probe_columns = {0};
@@ -570,7 +584,9 @@ TEST_F(LateMatFixture, MatchesEagerWithDeletesEpochPredicateAndSip) {
                           std::make_unique<MaterializedOperator>(
                               build, std::vector<std::string>{"bk"}),
                           jspec);
-    auto rows = DrainOperator(&join, &ctx_);
+    ExecContext ctx = ctx_;
+    ctx.decode_first = eager;
+    auto rows = DrainOperator(&join, &ctx);
     EXPECT_TRUE(rows.ok());
     return rows.value();
   };

@@ -1,7 +1,7 @@
 // Normalized-key sort tests (DESIGN.md §8): the byte encoding must be
 // order-preserving against the row comparator for every type, direction,
 // NULL placement and composite shape, and the permutation APIs must agree
-// with the comparator fallback exactly (including stability).
+// with the comparator reference exactly (including stability).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,12 +13,6 @@
 
 namespace stratica {
 namespace {
-
-/// Restores the A/B knob around each test.
-class SortUtilTest : public ::testing::Test {
- protected:
-  ~SortUtilTest() override { SetNormalizedKeySortEnabled(true); }
-};
 
 RowBlock MixedBlock(size_t n, uint64_t seed, bool with_nulls) {
   Rng rng(seed);
@@ -60,7 +54,7 @@ void ExpectOrderPreserving(const RowBlock& block, const std::vector<SortKey>& ke
   }
 }
 
-TEST_F(SortUtilTest, Int64KeyEdgeValues) {
+TEST(SortUtilTest, Int64KeyEdgeValues) {
   RowBlock block({TypeId::kInt64});
   for (int64_t v : {std::numeric_limits<int64_t>::min(), int64_t{-1}, int64_t{0},
                     int64_t{1}, std::numeric_limits<int64_t>::max(), int64_t{-42},
@@ -71,7 +65,7 @@ TEST_F(SortUtilTest, Int64KeyEdgeValues) {
   ExpectOrderPreserving(block, {{0, true}});
 }
 
-TEST_F(SortUtilTest, DoubleKeyEdgeValues) {
+TEST(SortUtilTest, DoubleKeyEdgeValues) {
   RowBlock block({TypeId::kFloat64});
   for (double v : {-std::numeric_limits<double>::infinity(), -1e300, -1.5, -0.0, 0.0,
                    std::numeric_limits<double>::denorm_min(), 1.5, 1e300,
@@ -86,7 +80,7 @@ TEST_F(SortUtilTest, DoubleKeyEdgeValues) {
   EXPECT_EQ(nk.Compare(3, 4), 0);
 }
 
-TEST_F(SortUtilTest, StringKeysWithEmbeddedZerosAndPrefixes) {
+TEST(SortUtilTest, StringKeysWithEmbeddedZerosAndPrefixes) {
   RowBlock block({TypeId::kString});
   for (const char* base :
        {"", "a", "ab", "abc", "b", "ba", "z", "zz", "A", "aa"}) {
@@ -100,7 +94,7 @@ TEST_F(SortUtilTest, StringKeysWithEmbeddedZerosAndPrefixes) {
   ExpectOrderPreserving(block, {{0, true}});
 }
 
-TEST_F(SortUtilTest, NullsFirstAscLastDesc) {
+TEST(SortUtilTest, NullsFirstAscLastDesc) {
   RowBlock block({TypeId::kInt64});
   block.columns[0].ints = {5, 0, -5, 0};
   block.columns[0].nulls = {0, 1, 0, 1};
@@ -115,7 +109,7 @@ TEST_F(SortUtilTest, NullsFirstAscLastDesc) {
   EXPECT_EQ(nk.Compare(1, 3), 0);
 }
 
-TEST_F(SortUtilTest, CompositeKeysAllShapesDifferential) {
+TEST(SortUtilTest, CompositeKeysAllShapesDifferential) {
   RowBlock block = MixedBlock(60, 7, /*with_nulls=*/true);
   // Every combination of (leading column, direction mix) that crosses the
   // fixed-width and variable-width encoders.
@@ -137,7 +131,7 @@ TEST_F(SortUtilTest, CompositeKeysAllShapesDifferential) {
   }
 }
 
-TEST_F(SortUtilTest, PermutationMatchesComparatorFallback) {
+TEST(SortUtilTest, PermutationMatchesComparatorFallback) {
   for (uint64_t seed : {1u, 2u, 3u}) {
     RowBlock block = MixedBlock(500, seed, /*with_nulls=*/true);
     std::vector<std::vector<SortKey>> shapes = {
@@ -147,17 +141,14 @@ TEST_F(SortUtilTest, PermutationMatchesComparatorFallback) {
         {{1, true}, {2, true}, {0, false}},    // everything
     };
     for (const auto& keys : shapes) {
-      SetNormalizedKeySortEnabled(true);
       auto fast = ComputeSortPermutationDirected(block, keys);
-      SetNormalizedKeySortEnabled(false);
-      auto oracle = ComputeSortPermutationDirected(block, keys);
+      auto oracle = ComputeSortPermutationComparator(block, keys);
       ASSERT_EQ(fast, oracle) << "seed " << seed;  // identical incl. tie order
     }
   }
-  SetNormalizedKeySortEnabled(true);
 }
 
-TEST_F(SortUtilTest, AscendingPermutationApiStillStableSorts) {
+TEST(SortUtilTest, AscendingPermutationApiStillStableSorts) {
   RowBlock block({TypeId::kInt64, TypeId::kInt64});
   block.columns[0].ints = {3, 1, 3, 1, 2};
   block.columns[1].ints = {0, 1, 2, 3, 4};  // payload identifies input order
@@ -168,7 +159,7 @@ TEST_F(SortUtilTest, AscendingPermutationApiStillStableSorts) {
   EXPECT_TRUE(IsSorted(sorted, {0}));
 }
 
-TEST_F(SortUtilTest, AppendNormalizedKeyMatchesBatchBuild) {
+TEST(SortUtilTest, AppendNormalizedKeyMatchesBatchBuild) {
   RowBlock block = MixedBlock(40, 11, /*with_nulls=*/true);
   std::vector<SortKey> keys = {{0, false}, {2, true}, {1, false}};
   NormalizedKeys nk;
