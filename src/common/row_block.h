@@ -157,6 +157,13 @@ struct RowBlock {
     for (size_t c = 0; c < columns.size(); ++c) columns[c].AppendFrom(src.columns[c], row);
   }
 
+  /// Append rows [start, start+count) of a flat `src`, one column at a time
+  /// (the bulk counterpart of an AppendRowFrom loop).
+  void AppendRange(const RowBlock& src, size_t start, size_t count) {
+    for (size_t c = 0; c < columns.size(); ++c)
+      columns[c].AppendRange(src.columns[c], start, count);
+  }
+
   size_t MemoryBytes() const {
     size_t n = 0;
     for (const auto& c : columns) n += c.MemoryBytes();

@@ -98,7 +98,7 @@ Status SharedJoinBuild::Build(ExecContext* ctx) {
       return Status::OK();
     }
     bytes_ += block_bytes;
-    for (size_t r = 0; r < block.NumRows(); ++r) rows_.AppendRowFrom(block, r);
+    rows_.AppendRange(block, 0, block.NumRows());
   }
   STRATICA_RETURN_NOT_OK(build_->Close());
 
@@ -257,7 +257,7 @@ Status HashJoinOperator::BuildTable() {
       return fallback_->Open(ctx_);
     }
     build_bytes_ += bytes;
-    for (size_t r = 0; r < block.NumRows(); ++r) build_rows_.AppendRowFrom(block, r);
+    build_rows_.AppendRange(block, 0, block.NumRows());
     // Batch insert: hash all key columns once, then append entries whose ids
     // are exactly the build_rows_ row indexes. NULL-key rows never join, so
     // they enter the table unlinked (kept only for RIGHT/FULL emission).

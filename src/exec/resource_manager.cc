@@ -47,6 +47,9 @@ Result<AdmissionTicket> ResourceManager::Admit(size_t requested_bytes) {
 
   bool waited = false;
   while (!admissible()) {
+    // Counted when the wait starts, so the queue depth is observable while
+    // the request is still waiting.
+    if (!waited) ++stats_.queued;
     waited = true;
     if (cv_.wait_until(lock, deadline) == std::cv_status::timeout && !admissible()) {
       queue_.erase(std::find(queue_.begin(), queue_.end(), ticket));
@@ -62,7 +65,6 @@ Result<AdmissionTicket> ResourceManager::Admit(size_t requested_bytes) {
   reserved_ += bytes;
   ++active_;
   ++stats_.admitted;
-  if (waited) ++stats_.queued;
   stats_.peak_reserved_bytes = std::max<uint64_t>(stats_.peak_reserved_bytes, reserved_);
   stats_.peak_active_queries = std::max<uint64_t>(stats_.peak_active_queries, active_);
   // The next waiter may also fit (e.g. a slot-capped pool with room left).

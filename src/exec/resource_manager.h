@@ -40,7 +40,7 @@ struct ResourceManagerConfig {
 /// Point-in-time counters (all monotone except the gauges).
 struct ResourceManagerStats {
   uint64_t admitted = 0;        ///< queries granted a reservation
-  uint64_t queued = 0;          ///< admissions that had to wait at least once
+  uint64_t queued = 0;          ///< admissions that had to wait (counted as the wait starts)
   uint64_t timeouts = 0;        ///< admissions that failed on timeout
   uint64_t reserved_bytes = 0;  ///< gauge: bytes currently reserved
   uint64_t active_queries = 0;  ///< gauge: tickets currently live

@@ -737,6 +737,11 @@ Status ScanOperator::Close() {
 
 std::string ScanOperator::DebugString() const {
   std::string s = "Scan(" + (spec_.storage ? spec_.storage->config().projection : "?");
+  // Emitted columns by bare name (the planner qualifies them "alias.col").
+  for (size_t c = 0; c < spec_.output_names.size(); ++c) {
+    const std::string& name = spec_.output_names[c];
+    s += (c == 0 ? ", cols: " : ", ") + name.substr(name.rfind('.') + 1);
+  }
   if (spec_.predicate) s += ", filter: " + spec_.predicate->ToString();
   if (!spec_.prune_bounds.empty())
     s += ", prune bounds: " + std::to_string(spec_.prune_bounds.size());

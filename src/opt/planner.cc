@@ -32,7 +32,7 @@ class BroadcastState {
       if (!status_.ok() || block.NumRows() == 0) break;
       block.DecodeAll();
       if (ctx->stats) ctx->stats->exchange_bytes.fetch_add(block.MemoryBytes());
-      for (size_t r = 0; r < block.NumRows(); ++r) rows_.AppendRowFrom(block, r);
+      rows_.AppendRange(block, 0, block.NumRows());
     }
     if (status_.ok()) status_ = child_->Close();
     return status_;
@@ -64,7 +64,7 @@ class BroadcastConsumerOperator : public Operator {
     *out = RowBlock(OutputTypes());
     if (cursor_ >= rows.NumRows()) return Status::OK();
     size_t take = std::min(ctx_->vector_size, rows.NumRows() - cursor_);
-    for (size_t r = 0; r < take; ++r) out->AppendRowFrom(rows, cursor_ + r);
+    out->AppendRange(rows, cursor_, take);
     cursor_ += take;
     return Status::OK();
   }
@@ -104,6 +104,20 @@ ExprPtr CombineConjuncts(const std::vector<ExprPtr>& conjuncts) {
     result = result ? And(result, c) : c;
   }
   return result;
+}
+
+/// Deep copy with every column reference unbound, ready to bind by name
+/// against another schema.
+ExprPtr CloneUnbound(const ExprPtr& e) {
+  ExprPtr copy = CloneExpr(e);
+  std::vector<Expr*> stack = {copy.get()};
+  while (!stack.empty()) {
+    Expr* cur = stack.back();
+    stack.pop_back();
+    if (cur->kind == ExprKind::kColumnRef) cur->column_index = -1;
+    for (auto& ch : cur->children) stack.push_back(ch.get());
+  }
+  return copy;
 }
 
 /// Does a bound predicate reject NULLs of the given column range? A plain
@@ -429,38 +443,110 @@ Result<PhysicalPlan> Planner::PlanSelect(const SelectStmt& stmt,
     }
   }
 
-  // ---- build scan specs ------------------------------------------------------
-  // The combined stream schema after all joins, in join order.
-  BindSchema stream_schema;
-  std::vector<std::pair<size_t, int>> stream_origin;  // (table, table-col)
-  for (size_t oi : order) {
-    const TableSlot& slot = scope.tables[oi];
-    for (size_t c = 0; c < slot.def.columns.size(); ++c) {
-      stream_schema.Add(slot.alias + "." + slot.def.columns[c].name,
-                        slot.def.columns[c].type);
-      stream_origin.emplace_back(oi, static_cast<int>(c));
+  // ---- column pruning (DESIGN.md §14) ---------------------------------------
+  // Each scan emits only the columns something above it reads: select items
+  // (SELECT * keeps every column), GROUP BY and aggregate arguments (HAVING
+  // binds to the aggregates), window partition/order/argument columns, join
+  // keys and residual predicates — plus the columns of its own pushed-down
+  // predicate, because the scan's predicate, SIP probe columns and prune
+  // bounds are all bound in its output space. ORDER BY binds to the output
+  // columns, so it adds nothing.
+  std::vector<std::vector<char>> referenced(scope.tables.size());
+  for (size_t t = 0; t < scope.tables.size(); ++t) {
+    referenced[t].assign(scope.tables[t].def.columns.size(), 0);
+  }
+  auto reference_col = [&](int combined_col) {
+    size_t t = table_of_column(combined_col);
+    referenced[t][combined_col - scope.tables[t].schema_offset] = 1;
+  };
+  auto reference_bound = [&](const Expr& e) {
+    std::vector<int> cols;
+    CollectColumns(e, &cols);
+    for (int c : cols) reference_col(c);
+  };
+  auto reference = [&](const ExprPtr& e) -> Status {
+    if (!e) return Status::OK();
+    ExprPtr bound_expr = CloneUnbound(e);
+    STRATICA_RETURN_NOT_OK(BindExpr(bound_expr, scope.schema));
+    reference_bound(*bound_expr);
+    return Status::OK();
+  };
+  for (const auto& item : stmt.items) {
+    switch (item.kind) {
+      case SelectItem::Kind::kStar:
+        for (auto& cols : referenced) cols.assign(cols.size(), 1);
+        break;
+      case SelectItem::Kind::kExpr:
+        STRATICA_RETURN_NOT_OK(reference(item.expr));
+        break;
+      case SelectItem::Kind::kAgg:
+        STRATICA_RETURN_NOT_OK(reference(item.agg.arg));
+        break;
+      case SelectItem::Kind::kWindow:
+        STRATICA_RETURN_NOT_OK(reference(item.window.arg));
+        for (const auto& pe : item.window.partition_by)
+          STRATICA_RETURN_NOT_OK(reference(pe));
+        for (const auto& oe : item.window.order_by)
+          STRATICA_RETURN_NOT_OK(reference(oe.first));
+        break;
     }
   }
-  auto combined_to_stream = [&](int combined_col) -> int {
+  for (const auto& g : stmt.group_by) STRATICA_RETURN_NOT_OK(reference(g));
+  for (const auto& call : stmt.having_aggs) STRATICA_RETURN_NOT_OK(reference(call.arg));
+  for (const auto& edge : edges) {
+    for (int c : edge.left_cols) reference_col(c);
+    for (int c : edge.right_cols) reference_col(c);
+  }
+  for (const auto& r : residuals) reference_bound(*r);
+  for (const auto& slot : scope.tables) {
+    for (const auto& pred : slot.local_predicates) reference_bound(*pred);
+  }
+  // kept[t]: table-column indexes scan t emits, ascending; scan_pos[t] maps
+  // a table column to its scan-output index (-1 = pruned). A scan whose
+  // table nothing references (COUNT(*) without WHERE) still emits one
+  // column, the projection's first sort column, because a block with no
+  // columns has no rows.
+  std::vector<std::vector<int>> kept(scope.tables.size());
+  std::vector<std::vector<int>> scan_pos(scope.tables.size());
+  for (size_t t = 0; t < scope.tables.size(); ++t) {
+    const TableSlot& slot = scope.tables[t];
+    if (std::find(referenced[t].begin(), referenced[t].end(), 1) == referenced[t].end()) {
+      int first = 0;
+      if (!slot.projection.sort_columns.empty()) {
+        const std::string& name =
+            slot.projection.columns[slot.projection.sort_columns[0]].name;
+        for (size_t c = 0; c < slot.def.columns.size(); ++c) {
+          if (slot.def.columns[c].name == name) first = static_cast<int>(c);
+        }
+      }
+      referenced[t][first] = 1;
+    }
+    scan_pos[t].assign(slot.def.columns.size(), -1);
+    for (size_t c = 0; c < slot.def.columns.size(); ++c) {
+      if (!referenced[t][c]) continue;
+      scan_pos[t][c] = static_cast<int>(kept[t].size());
+      kept[t].push_back(static_cast<int>(c));
+    }
+  }
+  // Scan-output index of a combined-schema column (its table keeps it).
+  auto scan_pos_of = [&](int combined_col) -> int {
     size_t t = table_of_column(combined_col);
-    int within = combined_col - scope.tables[t].schema_offset;
-    int pos = 0;
-    for (size_t oi : order) {
-      if (oi == t) return pos + within;
-      pos += static_cast<int>(scope.tables[oi].def.columns.size());
-    }
-    return -1;
+    return scan_pos[t][combined_col - scope.tables[t].schema_offset];
   };
-  auto rebind_to_stream = [&](const ExprPtr& e) -> Result<ExprPtr> {
-    ExprPtr copy = CloneExpr(e);
-    // Reset bound indexes, rebind by name against the stream schema.
-    std::vector<Expr*> stack = {copy.get()};
-    while (!stack.empty()) {
-      Expr* cur = stack.back();
-      stack.pop_back();
-      if (cur->kind == ExprKind::kColumnRef) cur->column_index = -1;
-      for (auto& ch : cur->children) stack.push_back(ch.get());
+
+  // ---- build scan specs ------------------------------------------------------
+  // The stream schema after all joins: each table's kept columns, in join
+  // order.
+  BindSchema stream_schema;
+  for (size_t oi : order) {
+    const TableSlot& slot = scope.tables[oi];
+    for (int c : kept[oi]) {
+      stream_schema.Add(slot.alias + "." + slot.def.columns[c].name,
+                        slot.def.columns[c].type);
     }
+  }
+  auto rebind_to_stream = [&](const ExprPtr& e) -> Result<ExprPtr> {
+    ExprPtr copy = CloneUnbound(e);
     STRATICA_RETURN_NOT_OK(BindExpr(copy, stream_schema));
     return copy;
   };
@@ -473,30 +559,22 @@ Result<PhysicalPlan> Planner::PlanSelect(const SelectStmt& stmt,
   for (size_t t = 0; t < scope.tables.size(); ++t) {
     TableSlot& slot = scope.tables[t];
     TablePlan& tp = table_plans[t];
-    // Scan outputs every table column (projection order mapped to table
-    // order) so stream offsets are predictable.
+    // Scan outputs the kept columns in table order (projection order mapped
+    // to table order); every index above the scan goes through scan_pos.
     BindSchema scan_schema;
-    for (size_t c = 0; c < slot.def.columns.size(); ++c) {
-      int proj_col = slot.projection.FindColumn(slot.def.columns[c].name);
-      if (proj_col < 0)
-        return Status::Internal("projection misses column ", slot.def.columns[c].name);
+    for (int c : kept[t]) {
+      const ColumnDef& col = slot.def.columns[c];
+      int proj_col = slot.projection.FindColumn(col.name);
+      if (proj_col < 0) return Status::Internal("projection misses column ", col.name);
       tp.spec.projection_columns.push_back(proj_col);
-      tp.spec.output_names.push_back(slot.alias + "." + slot.def.columns[c].name);
-      tp.spec.output_types.push_back(slot.def.columns[c].type);
-      scan_schema.Add(slot.alias + "." + slot.def.columns[c].name,
-                      slot.def.columns[c].type);
+      tp.spec.output_names.push_back(slot.alias + "." + col.name);
+      tp.spec.output_types.push_back(col.type);
+      scan_schema.Add(slot.alias + "." + col.name, col.type);
     }
     // Push local predicates into the scan, extracting prune bounds.
     std::vector<ExprPtr> scan_preds;
     for (const auto& pred : slot.local_predicates) {
-      ExprPtr local = CloneExpr(pred);
-      std::vector<Expr*> stack = {local.get()};
-      while (!stack.empty()) {
-        Expr* cur = stack.back();
-        stack.pop_back();
-        if (cur->kind == ExprKind::kColumnRef) cur->column_index = -1;
-        for (auto& ch : cur->children) stack.push_back(ch.get());
-      }
+      ExprPtr local = CloneUnbound(pred);
       STRATICA_RETURN_NOT_OK(BindExpr(local, scan_schema));
       scan_preds.push_back(local);
       if (local->kind == ExprKind::kCompare &&
@@ -509,33 +587,7 @@ Result<PhysicalPlan> Planner::PlanSelect(const SelectStmt& stmt,
     tp.spec.predicate = CombineConjuncts(scan_preds);
   }
 
-  // ---- SIP filters -----------------------------------------------------------
-  // The fact (first in join order) scans everything; joins against later
-  // tables install SIP filters on it when the join type filters probe rows.
   size_t fact = order[0];
-  for (size_t j = 1; j < order.size(); ++j) {
-    size_t t = order[j];
-    JoinType jt = scope.tables[t].join_type;
-    if (jt != JoinType::kInner && jt != JoinType::kSemi) continue;
-    for (const auto& edge : edges) {
-      size_t other = SIZE_MAX;
-      const std::vector<int>* fact_cols = nullptr;
-      if (edge.left_table == fact && edge.right_table == t) {
-        other = t;
-        fact_cols = &edge.left_cols;
-      } else if (edge.right_table == fact && edge.left_table == t) {
-        other = t;
-        fact_cols = &edge.right_cols;
-      }
-      if (other == SIZE_MAX) continue;
-      auto sip = std::make_shared<SipFilter>();
-      for (int c : *fact_cols) {
-        sip->probe_columns.push_back(c - scope.tables[fact].schema_offset);
-      }
-      table_plans[fact].spec.sips.push_back(sip);
-      table_plans[t].sips.push_back(sip);  // the join for table t fills it
-    }
-  }
 
   // ---- per-unit pipelines -----------------------------------------------------
   // Co-location: a join is fully local when both sides have the same number
@@ -624,6 +676,35 @@ Result<PhysicalPlan> Planner::PlanSelect(const SelectStmt& stmt,
     }
   }
 
+  // ---- SIP filters -----------------------------------------------------------
+  // The fact (first in join order) scans everything; joins against later
+  // tables install SIP filters on it when the join type filters probe rows.
+  // A filter is shared by every unit's fact scan and filled from unit 0's
+  // build, so a join co-located by segmentation — whose unit 0 build holds
+  // only that segment's keys — gets none.
+  for (size_t j = 1; j < order.size(); ++j) {
+    size_t t = order[j];
+    JoinType jt = scope.tables[t].join_type;
+    if (jt != JoinType::kInner && jt != JoinType::kSemi) continue;
+    if (colocated[t] && !scope.tables[t].projection.segmentation.replicated) continue;
+    for (const auto& edge : edges) {
+      size_t other = SIZE_MAX;
+      const std::vector<int>* fact_cols = nullptr;
+      if (edge.left_table == fact && edge.right_table == t) {
+        other = t;
+        fact_cols = &edge.left_cols;
+      } else if (edge.right_table == fact && edge.left_table == t) {
+        other = t;
+        fact_cols = &edge.right_cols;
+      }
+      if (other == SIZE_MAX) continue;
+      auto sip = std::make_shared<SipFilter>();
+      for (int c : *fact_cols) sip->probe_columns.push_back(scan_pos_of(c));
+      table_plans[fact].spec.sips.push_back(sip);
+      table_plans[t].sips.push_back(sip);  // the join for table t fills it
+    }
+  }
+
   // ---- per-unit pipeline builder ---------------------------------------------
   // Join keys depend only on the join order, not the unit, so the join steps
   // are computed once; only the SIP attachment, the colocated build unit and
@@ -648,11 +729,10 @@ Result<PhysicalPlan> Planner::PlanSelect(const SelectStmt& stmt,
       step.jspec.type = scope.tables[t].join_type;
       auto stream_pos_of = [&](int combined_col) -> int {
         size_t owner = table_of_column(combined_col);
-        int within = combined_col - scope.tables[owner].schema_offset;
         int pos = 0;
         for (size_t oi : joined_order) {
-          if (oi == owner) return pos + within;
-          pos += static_cast<int>(scope.tables[oi].def.columns.size());
+          if (oi == owner) return pos + scan_pos_of(combined_col);
+          pos += static_cast<int>(kept[oi].size());
         }
         return -1;
       };
@@ -674,8 +754,8 @@ Result<PhysicalPlan> Planner::PlanSelect(const SelectStmt& stmt,
         for (size_t k = 0; k < probe_side->size(); ++k) {
           step.jspec.probe_keys.push_back(
               static_cast<uint32_t>(stream_pos_of((*probe_side)[k])));
-          step.jspec.build_keys.push_back(static_cast<uint32_t>(
-              (*build_side)[k] - scope.tables[t].schema_offset));
+          step.jspec.build_keys.push_back(
+              static_cast<uint32_t>(scan_pos_of((*build_side)[k])));
         }
       }
       if (step.jspec.probe_keys.empty() && order.size() > 1)
@@ -732,17 +812,26 @@ Result<PhysicalPlan> Planner::PlanSelect(const SelectStmt& stmt,
         break;
       }
       // The key must also be a select output, so the query shapes that the
-      // Sort path would reject stay rejected.
-      bool in_output = false;
+      // Sort path would reject stay rejected. An alias names its item's
+      // expression, not a same-named table column.
+      ExprPtr key;
       for (const auto& item : stmt.items) {
-        in_output |= item.kind == SelectItem::Kind::kStar ||
-                     (item.kind == SelectItem::Kind::kExpr &&
-                      (item.alias == oe->column_name ||
-                       item.expr->ToString() == oe->ToString()));
+        bool is_expr = item.kind == SelectItem::Kind::kExpr;
+        if (is_expr && item.alias == oe->column_name) {
+          key = item.expr;
+          break;
+        }
+        if (item.kind == SelectItem::Kind::kStar ||
+            (is_expr && item.expr->ToString() == oe->ToString())) {
+          key = oe;
+        }
       }
-      auto bound = rebind_to_stream(oe);
-      if (!in_output || !bound.ok() ||
-          bound.value()->kind != ExprKind::kColumnRef) {
+      if (!key) {
+        ok = false;
+        break;
+      }
+      auto bound = rebind_to_stream(key);
+      if (!bound.ok() || bound.value()->kind != ExprKind::kColumnRef) {
         ok = false;
         break;
       }

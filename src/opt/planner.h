@@ -12,7 +12,8 @@
 // projection's storage with its buddy's on a surviving node and re-cost.
 //
 // Techniques implemented from the paper's list: projection selection with
-// compression-aware I/O costing, predicate pushdown with min/max prune
+// compression-aware I/O costing, column pruning (each scan emits only the
+// columns the query reads), predicate pushdown with min/max prune
 // bounds, transitive predicates across join keys, outer-to-inner join
 // conversion under null-rejecting WHERE clauses, SIP filter placement,
 // pipelined (sort-exploiting) aggregation, sort elimination, late

@@ -75,9 +75,16 @@ TEST(ResourceManagerTest, QueueTimesOutWithResourceExhausted) {
 }
 
 TEST(ResourceManagerTest, FifoOrderIsStrict) {
-  ResourceManager rm(Cfg(10 * kMB));
-  auto holder = rm.Admit(9 * kMB);
+  // The pool holds the small request beside the holder but never beside the
+  // big one, so after the holder releases, big runs alone and small is
+  // admitted only once big's ticket is gone: the ranks cannot race.
+  ResourceManager rm(Cfg(8 * kMB + kMB / 2));
+  auto holder = rm.Admit(7 * kMB);
   ASSERT_TRUE(holder.ok());
+  // Poll until `expected` admissions are waiting in the queue.
+  auto wait_queued = [&rm](uint64_t expected) {
+    while (rm.stats().queued < expected) std::this_thread::yield();
+  };
 
   std::atomic<int> order{0};
   int big_rank = -1, small_rank = -1;
@@ -86,14 +93,13 @@ TEST(ResourceManagerTest, FifoOrderIsStrict) {
     ASSERT_TRUE(t.ok());
     big_rank = order.fetch_add(1);
   });
-  // Give `big` time to reach the head of the queue.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  wait_queued(1);  // big is at the head of the queue
   std::thread small([&] {
     auto t = rm.Admit(1 * kMB);  // would fit right now, but arrived later
     ASSERT_TRUE(t.ok());
     small_rank = order.fetch_add(1);
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  wait_queued(2);
   // Strict FIFO: the small request must still be queued behind big.
   EXPECT_EQ(order.load(), 0);
   holder.value().Release();
