@@ -168,14 +168,17 @@ RetryPolicy ReaderRetryPolicy(const std::string& path) {
 Result<ColumnReader> ColumnReader::Open(const FileSystem* fs, const std::string& data_path,
                                         const std::string& index_path) {
   std::string index_bytes;
+  uint64_t retries = 0;
   STRATICA_RETURN_NOT_OK(
-      RetryTransient(ReaderRetryPolicy(index_path), nullptr, [&]() -> Status {
+      RetryTransient(ReaderRetryPolicy(index_path), &retries, [&]() -> Status {
         STRATICA_ASSIGN_OR_RETURN(index_bytes, fs->ReadFile(index_path));
         return Status::OK();
       }));
   STRATICA_RETURN_NOT_OK(VerifyAndStripCrcFooter(&index_bytes, index_path));
   STRATICA_ASSIGN_OR_RETURN(ColumnFileMeta meta, ParseColumnFileMeta(index_bytes));
-  return ColumnReader(fs, data_path, std::move(meta));
+  ColumnReader reader(fs, data_path, std::move(meta));
+  reader.io_retries_ = retries;
+  return reader;
 }
 
 Status ColumnReader::FetchBlock(size_t idx) const {

@@ -113,8 +113,9 @@ class ColumnReader {
   /// Encoded bytes fetched through this reader (I/O amplification metric).
   uint64_t bytes_read() const { return bytes_read_; }
 
-  /// Transient-error retries performed by this reader's fetches (rolled
-  /// into ExecStats::io_retries by the scan, like bytes_read).
+  /// Transient-error retries performed by this reader, its index read at
+  /// Open included (rolled into ExecStats::io_retries by the scan, like
+  /// bytes_read).
   uint64_t io_retries() const { return io_retries_; }
 
  private:

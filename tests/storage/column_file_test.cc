@@ -218,6 +218,23 @@ TEST(ColumnFileTest, TransientReadFaultsAbsorbedByRetry) {
   EXPECT_GT(reader.value().io_retries(), 0u);
 }
 
+TEST(ColumnFileTest, IndexReadRetriesCountedAtOpen) {
+  // The index read at Open retries like a block fetch, and its retries are
+  // the reader's too (ExecStats::io_retries would otherwise miss them).
+  MemFileSystem base;
+  FaultFs fs(&base, 11);
+  WriteTestColumn(&fs, "c.dat", "c.idx");
+  FaultRule rule;
+  rule.op_mask = kFaultRead;
+  rule.every_nth = 1;
+  rule.max_fires = 2;  // the first two reads, both of the index file
+  rule.kind = FaultKind::kTransientError;
+  fs.AddRule(rule);
+  auto reader = ColumnReader::Open(&fs, "c.dat", "c.idx");
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  EXPECT_EQ(reader.value().io_retries(), 2u);
+}
+
 TEST(ColumnFileTest, PersistentReadFaultSurfacesAsIoError) {
   MemFileSystem base;
   FaultFs fs(&base, 11);
