@@ -664,17 +664,21 @@ Status ReadProjectionRows(const FileSystem* fs, ProjectionStorage* ps, Epoch epo
   if (positions) positions->clear();
 
   StorageSnapshot snap = ps->GetSnapshot(epoch);
+  // Per-target, per-position delete epochs from the chunks captured with
+  // the snapshot. Live chunks would not do: a moveout or mergeout after the
+  // snapshot moves a deletion to a container the snapshot does not hold.
+  std::unordered_map<uint64_t, std::unordered_map<uint64_t, Epoch>> dels_by_target;
+  for (const auto& d : snap.delete_chunks) {
+    auto& dels = dels_by_target[d->target_id];
+    for (size_t i = 0; i < d->positions.size(); ++i) {
+      if (d->epochs[i] <= epoch) dels[d->positions[i]] = d->epochs[i];
+    }
+  }
   for (const auto& c : snap.ros) {
     RowBlock rows;
     std::vector<Epoch> epochs;
     STRATICA_RETURN_NOT_OK(ReadRosContainer(fs, *c, &rows, &epochs));
-    // Per-position delete epoch for this container.
-    std::unordered_map<uint64_t, Epoch> dels;
-    for (const auto& d : ps->ContainerDeleteChunks(c->id)) {
-      for (size_t i = 0; i < d->positions.size(); ++i) {
-        if (d->epochs[i] <= epoch) dels[d->positions[i]] = d->epochs[i];
-      }
-    }
+    const auto& dels = dels_by_target[c->id];
     for (size_t r = 0; r < rows.NumRows(); ++r) {
       if (epochs[r] > epoch) continue;  // committed after the snapshot
       out->AppendRowFrom(rows, r);
@@ -686,12 +690,7 @@ Status ReadProjectionRows(const FileSystem* fs, ProjectionStorage* ps, Epoch epo
       if (positions) positions->emplace_back(c->id, r);
     }
   }
-  std::unordered_map<uint64_t, Epoch> wos_dels;
-  for (const auto& d : ps->WosDeleteChunks()) {
-    for (size_t i = 0; i < d->positions.size(); ++i) {
-      if (d->epochs[i] <= epoch) wos_dels[d->positions[i]] = d->epochs[i];
-    }
-  }
+  const auto& wos_dels = dels_by_target[kWosTargetId];
   for (const auto& w : snap.wos) {
     for (size_t r = 0; r < w->NumRows(); ++r) {
       out->AppendRowFrom(w->rows, r);

@@ -239,6 +239,7 @@ StorageSnapshot ProjectionStorage::GetSnapshot(Epoch epoch, uint64_t txn_id) con
     bool own = txn_id != 0 && d->txn_id == txn_id;
     snap.deletes.Add(*d, own ? kUncommittedEpoch : epoch);
   }
+  snap.delete_chunks = deletes_;
   return snap;
 }
 

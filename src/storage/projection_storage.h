@@ -74,6 +74,10 @@ struct StorageSnapshot {
   std::vector<RosContainerPtr> ros;
   std::vector<std::shared_ptr<const WosChunk>> wos;
   DeleteIndex deletes;
+  /// The delete-vector chunks `deletes` was built from, captured with the
+  /// containers and WOS: readers that need per-row delete epochs use these,
+  /// since a moveout or mergeout after the snapshot re-targets live chunks.
+  std::vector<DeleteVectorChunkPtr> delete_chunks;
   uint64_t TotalRows() const;
 };
 

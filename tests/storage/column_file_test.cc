@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 
 #include "common/fault_fs.h"
@@ -295,7 +296,13 @@ TEST(MemFileSystemRaceTest, DeleteAndHardLinkVsReads) {
     });
   }
   std::thread mutator([&] {
-    for (int i = 0; i < 2000; ++i) {
+    // At least 2000 rounds, and on until a reader got a read in while the
+    // churn ran: on a loaded host the readers may not be scheduled before
+    // 2000 rounds are done.
+    auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    for (int i = 0; i < 2000 || (good_reads.load(std::memory_order_relaxed) == 0 &&
+                                 std::chrono::steady_clock::now() < deadline);
+         ++i) {
       (void)fs.HardLink("src", "link");
       (void)fs.Delete("link");
     }
