@@ -68,22 +68,12 @@ class FlatHashTable {
   /// Append a payload (id == NumEntries()) linked under `hash`.
   uint32_t Insert(uint64_t hash);
 
-  /// Append a payload that participates in the dense id space but is never
-  /// returned by probes (e.g. a build row with a NULL join key).
-  uint32_t InsertUnlinked();
-
-  /// Batch append payloads [NumEntries(), NumEntries()+n) for hashes[0..n).
-  /// skip[i] != 0 inserts entry i unlinked. skip may be null (insert all).
-  void InsertBatch(const uint64_t* hashes, size_t n, const uint8_t* skip = nullptr);
-
  private:
   struct Slot {
     uint64_t hash = 0;
     uint32_t head = kNone;
   };
   static constexpr size_t kMinSlots = 16;
-  /// Marks an entry that is not linked into any slot chain.
-  static constexpr uint32_t kUnlinked = UINT32_MAX - 1;
 
   void Rehash(size_t new_slots);
   void GrowIfNeeded() {
@@ -96,7 +86,7 @@ class FlatHashTable {
 
   std::vector<Slot> slots_;
   std::vector<uint64_t> entry_hash_;  ///< per payload, for rehash + chains
-  std::vector<uint32_t> next_;        ///< equal-hash chain / kUnlinked
+  std::vector<uint32_t> next_;        ///< equal-hash chain
   size_t mask_ = 0;
   size_t used_slots_ = 0;
 };
@@ -130,8 +120,12 @@ class FlatHashSet {
     }
   }
 
-  /// out[i] = Contains(values[i]) ? 1 : 0, with home-slot prefetching.
-  void ContainsBatch(const uint64_t* values, size_t n, uint8_t* out) const;
+  /// Batched, selection-masked membership: rows with sel[i] != 0 keep it
+  /// only if values[i] is in the set; rows with sel[i] == 0 are skipped and
+  /// their values never read. Prefetches the home slots of upcoming selected
+  /// rows, so independent probes overlap their cache misses whether the
+  /// selection is dense or sparse (e.g. after a SIP range prune).
+  void FilterMasked(const uint64_t* values, size_t n, uint8_t* sel) const;
 
  private:
   static constexpr size_t kMinSlots = 16;

@@ -39,6 +39,171 @@ void AppendNullRow(RowBlock* out, size_t first_col, const std::vector<TypeId>& t
 }  // namespace
 
 // ---------------------------------------------------------------------------
+// JoinIndex
+
+void JoinIndex::Build(const RowBlock& rows, const std::vector<uint32_t>& keys,
+                      size_t shards, ExecContext* ctx, SipFilter* sip) {
+  // The range of the non-NULL keys of a single integer-class key picks the
+  // path and bounds either SIP form. Offsets are unsigned, so a span across
+  // INT64_MIN..INT64_MAX cannot overflow; it simply fails the 4x rule.
+  bool single_int_key =
+      keys.size() == 1 &&
+      StorageClassOf(rows.columns[keys[0]].type) == StorageClass::kInt64;
+  uint64_t count = 0;
+  int64_t lo = 0, hi = 0;
+  if (single_int_key) {
+    const ColumnVector& key = rows.columns[keys[0]];
+    for (size_t r = 0; r < key.ints.size(); ++r) {
+      if (key.IsNull(r)) continue;
+      int64_t v = key.ints[r];
+      lo = count == 0 ? v : std::min(lo, v);
+      hi = count == 0 ? v : std::max(hi, v);
+      ++count;
+    }
+  }
+  uint64_t span_minus_1 = static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
+  direct_ = single_int_key && (count == 0 || span_minus_1 < kDirectSpanFactor * count);
+  if (sip != nullptr) {  // a re-opened join refills the same filter
+    sip->bitmap_form = false;
+    sip->bitmap.clear();
+    sip->key_hashes.Clear();
+    sip->has_range = single_int_key && count > 0;
+    sip->min = lo;
+    sip->max = hi;
+  }
+  if (direct_) {
+    min_ = lo;
+    span_ = count == 0 ? 0 : span_minus_1 + 1;
+    BuildDirect(rows.columns[keys[0]], sip);
+    if (ctx->stats) ctx->stats->direct_join_builds.fetch_add(1);
+  } else {
+    BuildHashed(rows, keys, shards, ctx, sip);
+  }
+  // Publish exactly once, before any probe-side scan opens (the pull model,
+  // or — for shared builds — every fragment blocked in Ensure).
+  if (sip != nullptr) sip->ready.store(true, std::memory_order_release);
+}
+
+void JoinIndex::BuildDirect(const ColumnVector& key, SipFilter* sip) {
+  size_t n = key.ints.size();
+  head_.assign(span_, kNone);
+  next_.assign(n, kNone);
+  for (size_t r = 0; r < n; ++r) {
+    if (key.IsNull(r)) continue;
+    uint64_t off = static_cast<uint64_t>(key.ints[r]) - static_cast<uint64_t>(min_);
+    next_[r] = head_[off];  // most recent first, like FlatHashTable chains
+    head_[off] = static_cast<uint32_t>(r);
+  }
+  if (sip == nullptr) return;
+  sip->bitmap_form = true;
+  sip->span = span_;
+  sip->bitmap.assign((span_ + 63) / 64, 0);
+  for (uint64_t off = 0; off < span_; ++off) {
+    if (head_[off] != kNone) sip->bitmap[off >> 6] |= uint64_t{1} << (off & 63);
+  }
+}
+
+void JoinIndex::BuildHashed(const RowBlock& rows, const std::vector<uint32_t>& keys,
+                            size_t shards, ExecContext* ctx, SipFilter* sip) {
+  // Partitioned build: hash every row once, then one task per shard inserts
+  // the rows whose high hash bits select it. Each task owns its shard and
+  // the next_ links of its rows exclusively, so no insert synchronizes.
+  size_t n = rows.NumRows();
+  std::vector<uint64_t> hashes;
+  std::vector<uint8_t> null_keys;
+  HashRows(rows, keys, kGroupKeySeed, &hashes);
+  NullKeyMask(rows, keys, &null_keys);
+  shards_.clear();
+  shards_.resize(shards == 0 ? 1 : shards);
+  shard_mask_ = shards_.size() - 1;
+  next_.assign(n, kNone);
+  auto insert_shard = [&](size_t s) {
+    Shard& sh = shards_[s];
+    sh.table.Reserve(n / shards_.size() + 16);
+    for (size_t r = 0; r < n; ++r) {
+      if (null_keys[r]) continue;  // NULL keys never match a probe
+      uint64_t h = hashes[r];
+      if (((h >> 32) & shard_mask_) != s) continue;
+      sh.table.Insert(h);
+      sh.rows.push_back(static_cast<uint32_t>(r));
+    }
+    // Re-express the table's equal-hash chains in build-row ids.
+    for (uint32_t local = 0; local < sh.rows.size(); ++local) {
+      uint32_t nl = sh.table.Next(local);
+      next_[sh.rows[local]] = nl == FlatHashTable::kNone ? kNone : sh.rows[nl];
+    }
+  };
+  constexpr size_t kParallelBuildMinRows = 8192;
+  if (ctx->scheduler != nullptr && shards_.size() > 1 && n >= kParallelBuildMinRows) {
+    Scheduler::TaskSet tasks(ctx->scheduler);
+    for (size_t s = 0; s < shards_.size(); ++s) {
+      tasks.Submit([&insert_shard, s] { insert_shard(s); });
+    }
+    tasks.Wait();
+  } else {
+    for (size_t s = 0; s < shards_.size(); ++s) insert_shard(s);
+  }
+
+  if (sip == nullptr) return;
+  // Scan-side hash seed (Section 6.1). No Reserve: the distinct-key count
+  // is unknown (often << n) and the set grows geometrically; reserving for
+  // n rows would allocate O(rows) outside the operator budget.
+  HashRows(rows, keys, kSipSeed, &hashes);
+  for (size_t r = 0; r < n; ++r) {
+    if (!null_keys[r]) sip->key_hashes.Insert(hashes[r]);
+  }
+}
+
+void JoinIndex::ProbeHeads(const RowBlock& probe, const std::vector<uint32_t>& keys,
+                           std::vector<uint64_t>* hash_scratch,
+                           std::vector<uint8_t>* null_scratch,
+                           std::vector<uint32_t>* heads) const {
+  size_t n = probe.NumRows();
+  heads->resize(n);
+  uint32_t* out = heads->data();
+  if (direct_) {
+    // A probe key of another storage class never equals an integer key.
+    const ColumnVector& col = probe.columns[keys[0]];
+    if (StorageClassOf(col.type) != StorageClass::kInt64) {
+      std::fill(out, out + n, kNone);
+      return;
+    }
+    const int64_t* v = col.ints.data();
+    for (size_t r = 0; r < n; ++r) {
+      uint64_t off = static_cast<uint64_t>(v[r]) - static_cast<uint64_t>(min_);
+      out[r] = off < span_ ? head_[off] : kNone;
+    }
+    if (!col.nulls.empty()) {
+      for (size_t r = 0; r < n; ++r) {
+        if (col.nulls[r]) out[r] = kNone;
+      }
+    }
+    return;
+  }
+  // Hash the whole probe block once, then resolve every row's chain head;
+  // a single shard probes in one prefetching batch.
+  HashRows(probe, keys, kGroupKeySeed, hash_scratch);
+  NullKeyMask(probe, keys, null_scratch);
+  const uint64_t* h = hash_scratch->data();
+  const uint8_t* nulls = null_scratch->data();
+  if (shards_.size() == 1) {
+    const Shard& sh = shards_[0];
+    sh.table.ProbeBatch(h, n, out);
+    for (size_t r = 0; r < n; ++r) {
+      out[r] = nulls[r] || out[r] == FlatHashTable::kNone ? kNone : sh.rows[out[r]];
+    }
+    return;
+  }
+  for (size_t r = 0; r < n; ++r) {
+    out[r] = kNone;
+    if (nulls[r]) continue;
+    const Shard& sh = shards_[(h[r] >> 32) & shard_mask_];
+    uint32_t local = sh.table.Probe(h[r]);
+    if (local != FlatHashTable::kNone) out[r] = sh.rows[local];
+  }
+}
+
+// ---------------------------------------------------------------------------
 // SharedJoinBuild
 
 SharedJoinBuild::SharedJoinBuild(OperatorPtr build, JoinSpec spec, size_t fanout)
@@ -46,10 +211,7 @@ SharedJoinBuild::SharedJoinBuild(OperatorPtr build, JoinSpec spec, size_t fanout
       spec_(std::move(spec)),
       fanout_(fanout == 0 ? 1 : fanout),
       open_fragments_(fanout == 0 ? 1 : fanout) {
-  size_t shards = 1;
-  while (shards < fanout_ && shards < 64) shards <<= 1;
-  shards_.resize(shards);
-  shard_mask_ = shards - 1;
+  while (num_shards_ < fanout_ && num_shards_ < 64) num_shards_ <<= 1;
 }
 
 Status SharedJoinBuild::Ensure(ExecContext* ctx) {
@@ -102,63 +264,9 @@ Status SharedJoinBuild::Build(ExecContext* ctx) {
   }
   STRATICA_RETURN_NOT_OK(build_->Close());
 
-  // Partitioned parallel build: hash every row once, then one task per
-  // shard inserts the rows whose high hash bits select it. Each task owns
-  // its shard exclusively, so no insert synchronizes with another.
-  size_t n = rows_.NumRows();
-  std::vector<uint64_t> hashes;
-  std::vector<uint8_t> null_keys;
-  HashRows(rows_, spec_.build_keys, kGroupKeySeed, &hashes);
-  NullKeyMask(rows_, spec_.build_keys, &null_keys);
-  size_t num_shards = shards_.size();
-  auto insert_shard = [&](size_t s) {
-    Shard& sh = shards_[s];
-    sh.table.Reserve(n / num_shards + 16);
-    for (size_t r = 0; r < n; ++r) {
-      // NULL keys never match a probe; with RIGHT/FULL excluded from shared
-      // builds, the rows need not enter the table at all.
-      if (null_keys[r]) continue;
-      uint64_t h = hashes[r];
-      if (((h >> 32) & shard_mask_) != s) continue;
-      sh.table.Insert(h);
-      sh.rows.push_back(static_cast<uint32_t>(r));
-    }
-  };
-  constexpr size_t kParallelBuildMinRows = 8192;
-  if (ctx->scheduler != nullptr && num_shards > 1 && n >= kParallelBuildMinRows) {
-    Scheduler::TaskSet tasks(ctx->scheduler);
-    for (size_t s = 0; s < num_shards; ++s) tasks.Submit([&insert_shard, s] { insert_shard(s); });
-    tasks.Wait();
-  } else {
-    for (size_t s = 0; s < num_shards; ++s) insert_shard(s);
-  }
-
-  // Publish the SIP filter exactly once, before any fragment's probe scan
-  // opens (they are all blocked in Ensure until this returns).
-  if (spec_.sip) {
-    bool single_int_key =
-        spec_.build_keys.size() == 1 &&
-        StorageClassOf(rows_.columns[spec_.build_keys[0]].type) ==
-            StorageClass::kInt64;
-    HashRows(rows_, spec_.build_keys, kSipSeed, &hashes);
-    bool first = true;
-    for (size_t r = 0; r < n; ++r) {
-      if (null_keys[r]) continue;
-      spec_.sip->key_hashes.Insert(hashes[r]);
-      if (single_int_key) {
-        int64_t v = rows_.columns[spec_.build_keys[0]].ints[r];
-        if (first) {
-          spec_.sip->min = spec_.sip->max = v;
-          first = false;
-        } else {
-          spec_.sip->min = std::min(spec_.sip->min, v);
-          spec_.sip->max = std::max(spec_.sip->max, v);
-        }
-      }
-    }
-    spec_.sip->has_range = single_int_key && !first;
-    spec_.sip->ready.store(true, std::memory_order_release);
-  }
+  // Every fragment is blocked in Ensure until this returns, so the SIP is
+  // published before any fragment's probe scan opens.
+  index_.Build(rows_, spec_.build_keys, num_shards_, ctx, spec_.sip.get());
   return Status::OK();
 }
 
@@ -209,7 +317,6 @@ std::vector<Operator*> HashJoinOperator::Children() const {
 
 Status HashJoinOperator::BuildTable() {
   build_rows_ = RowBlock(build_->OutputTypes());
-  index_.Clear();
   build_bytes_ = 0;
   for (;;) {
     RowBlock block;
@@ -240,7 +347,6 @@ Status HashJoinOperator::BuildTable() {
       ctx_->budget->Release(build_bytes_);
       build_bytes_ = 0;
       build_rows_ = RowBlock(build_->OutputTypes());
-      index_.Clear();
 
       std::vector<SortKey> lkeys, rkeys;
       for (uint32_t k : spec_.probe_keys) lkeys.push_back({k, false});
@@ -258,46 +364,10 @@ Status HashJoinOperator::BuildTable() {
     }
     build_bytes_ += bytes;
     build_rows_.AppendRange(block, 0, block.NumRows());
-    // Batch insert: hash all key columns once, then append entries whose ids
-    // are exactly the build_rows_ row indexes. NULL-key rows never join, so
-    // they enter the table unlinked (kept only for RIGHT/FULL emission).
-    size_t n = block.NumRows();
-    HashRows(block, spec_.build_keys, kGroupKeySeed, &hash_buf_);
-    NullKeyMask(block, spec_.build_keys, &null_key_buf_);
-    index_.InsertBatch(hash_buf_.data(), n, null_key_buf_.data());
   }
   build_matched_.assign(build_rows_.NumRows(), 0);
-
-  // Publish the SIP filter (scan-side hash seed, Section 6.1).
-  if (spec_.sip) {
-    bool single_int_key =
-        spec_.build_keys.size() == 1 &&
-        StorageClassOf(build_rows_.columns[spec_.build_keys[0]].type) ==
-            StorageClass::kInt64;
-    size_t n = build_rows_.NumRows();
-    HashRows(build_rows_, spec_.build_keys, kSipSeed, &hash_buf_);
-    NullKeyMask(build_rows_, spec_.build_keys, &null_key_buf_);
-    // No Reserve: distinct-key count is unknown (often << n) and the set
-    // grows geometrically; reserving for n rows would allocate O(rows)
-    // outside the operator budget.
-    bool first = true;
-    for (size_t r = 0; r < n; ++r) {
-      if (null_key_buf_[r]) continue;
-      spec_.sip->key_hashes.Insert(hash_buf_[r]);
-      if (single_int_key) {
-        int64_t v = build_rows_.columns[spec_.build_keys[0]].ints[r];
-        if (first) {
-          spec_.sip->min = spec_.sip->max = v;
-          first = false;
-        } else {
-          spec_.sip->min = std::min(spec_.sip->min, v);
-          spec_.sip->max = std::max(spec_.sip->max, v);
-        }
-      }
-    }
-    spec_.sip->has_range = single_int_key && !first;
-    spec_.sip->ready.store(true, std::memory_order_release);
-  }
+  // Index once, with the row count known; also publishes the SIP filter.
+  index_.Build(build_rows_, spec_.build_keys, /*shards=*/1, ctx_, spec_.sip.get());
   return Status::OK();
 }
 
@@ -358,10 +428,10 @@ Status HashJoinOperator::GetNext(RowBlock* out) {
   *out = RowBlock(OutputTypes());
   bool build_output = !ProbeOnlyOutput(spec_.type);
   size_t probe_width = probe_->OutputTypes().size();
-  // Shared-build mode reads the sibling-shared row store and sharded
-  // tables; the serial mode owns both. Either way `brows` rows are indexed
-  // by the global ids collected into build_idx below.
+  // Shared-build mode reads the sibling-shared rows and index; the serial
+  // mode owns both. Either way candidates are `brows` row indexes.
   const RowBlock& brows = shared_ ? shared_->rows() : build_rows_;
+  const JoinIndex& index = shared_ ? shared_->index() : index_;
 
   // Process one whole probe block per call: match indexes are collected
   // first, then columns materialize with typed batch gathers.
@@ -375,24 +445,14 @@ Status HashJoinOperator::GetNext(RowBlock* out) {
     std::vector<uint32_t> probe_idx, build_idx;  // matched pairs
     std::vector<uint32_t> lonely_probe;          // unmatched probe rows
     size_t n = probe_block_.NumRows();
-    // Hash the whole probe block once, then resolve every row's chain head
-    // in one batched probe pass; the per-row loop only walks candidates.
-    HashRows(probe_block_, spec_.probe_keys, kGroupKeySeed, &hash_buf_);
-    NullKeyMask(probe_block_, spec_.probe_keys, &null_key_buf_);
-    head_buf_.resize(n);
-    if (shared_) {
-      for (size_t r = 0; r < n; ++r) {
-        head_buf_[r] = null_key_buf_[r]
-                           ? FlatHashTable::kNone
-                           : shared_->ProbeHead(shared_->ShardOf(hash_buf_[r]),
-                                                hash_buf_[r]);
-      }
-    } else {
-      index_.ProbeBatch(hash_buf_.data(), n, head_buf_.data());
-    }
-    // Single int-class key fast path: candidates reached via the chain have
-    // non-NULL build keys (NULL-key rows are unlinked) and the probe row's
-    // key is non-NULL when we get here, so raw value compare suffices.
+    // Resolve every row's first candidate in one batched pass; the per-row
+    // loop only walks candidates. NULL probe keys get none.
+    index.ProbeHeads(probe_block_, spec_.probe_keys, &hash_buf_, &null_key_buf_,
+                     &head_buf_);
+    // Direct-index candidates carry exactly the probe key. Hash candidates
+    // share only its hash and are re-checked; with a single int-class key a
+    // raw value compare suffices (both keys are non-NULL here).
+    const bool verify = !index.direct();
     const int64_t* probe_ints = nullptr;
     const int64_t* build_ints = nullptr;
     if (spec_.probe_keys.size() == 1 &&
@@ -405,11 +465,8 @@ Status HashJoinOperator::GetNext(RowBlock* out) {
     }
     for (size_t r = 0; r < n; ++r) {
       size_t matches = 0;
-      if (!null_key_buf_[r]) {
-        uint32_t shard = shared_ ? shared_->ShardOf(hash_buf_[r]) : 0;
-        for (uint32_t e = head_buf_[r]; e != FlatHashTable::kNone;
-             e = shared_ ? shared_->NextInShard(shard, e) : index_.Next(e)) {
-          uint32_t br = shared_ ? shared_->GlobalRow(shard, e) : e;
+      for (uint32_t br = head_buf_[r]; br != JoinIndex::kNone; br = index.Next(br)) {
+        if (verify) {
           bool eq;
           if (probe_ints) {
             eq = probe_ints[r] == build_ints[br];
@@ -422,15 +479,15 @@ Status HashJoinOperator::GetNext(RowBlock* out) {
             }
           }
           if (!eq) continue;
-          ++matches;
-          // Matched bits feed RIGHT/FULL emission only; shared builds never
-          // serve those types, so sibling fragments need not synchronize.
-          if (!shared_) build_matched_[br] = 1;
-          if (spec_.type == JoinType::kSemi || spec_.type == JoinType::kAnti) break;
-          if (build_output) {
-            probe_idx.push_back(static_cast<uint32_t>(r));
-            build_idx.push_back(br);
-          }
+        }
+        ++matches;
+        // Matched bits feed RIGHT/FULL emission only; shared builds never
+        // serve those types, so sibling fragments need not synchronize.
+        if (!shared_) build_matched_[br] = 1;
+        if (spec_.type == JoinType::kSemi || spec_.type == JoinType::kAnti) break;
+        if (build_output) {
+          probe_idx.push_back(static_cast<uint32_t>(r));
+          build_idx.push_back(br);
         }
       }
       bool emit_lonely = (spec_.type == JoinType::kAnti && matches == 0) ||

@@ -10,6 +10,14 @@
 // After a successful in-memory build, the join publishes a SIP filter
 // (Sideways Information Passing) that probe-side scans use to drop rows
 // that cannot join, as early as possible in the plan.
+//
+// Both the serial build and the morsel-shared build collect every build row
+// first and then index them once through JoinIndex, which also fills the
+// SIP. A single integer-class key whose values span at most 4x the key
+// count is indexed directly by key offset and publishes a bitmap SIP;
+// every other key set is hashed into FlatHashTables and publishes a hash
+// set (DESIGN.md §5). The choice is made at run time from the keys the
+// build received; there is no knob.
 #ifndef STRATICA_EXEC_JOIN_H_
 #define STRATICA_EXEC_JOIN_H_
 
@@ -36,16 +44,84 @@ struct JoinSpec {
   std::shared_ptr<SipFilter> sip;
 };
 
+/// \brief Key index over a hash join's build rows, shared by the serial
+/// build (HashJoinOperator) and the morsel fan-out build (SharedJoinBuild)
+/// so the two plans index and publish SIP filters identically.
+///
+/// Built once over all build rows, with their count known. With a single
+/// integer-class key whose non-NULL values span at most kDirectSpanFactor x
+/// the non-NULL key count, rows are indexed *directly*: head_[key - min]
+/// is the first build row with that key and next_[row] chains duplicates,
+/// so resolving a probe row is one subtract, one bounds check and one load,
+/// and every candidate equals the probe key. Otherwise rows go into
+/// `shards` FlatHashTables keyed by the full key hash (shard = high hash
+/// bits); their candidates only share a hash, so the caller re-checks key
+/// equality. Either way candidates are rows() indexes, NULL-key rows are
+/// never linked, and equal keys chain most recently inserted first.
+///
+/// The 4x rule needs no tuning: the direct index costs 4 B per span slot
+/// plus 4 B per row, so at most 20 B per key, while a hashed row costs over
+/// 32 B (a 16 B directory slot at load <= 7/8, an 8 B entry hash, a 4 B
+/// table chain link and a 4 B row id, besides the shared 4 B next_ link).
+class JoinIndex {
+ public:
+  static constexpr uint32_t kNone = FlatHashTable::kNone;
+  static constexpr uint64_t kDirectSpanFactor = 4;
+
+  /// Index `rows` (flat) on `keys`. `shards` (a power of two) splits the
+  /// hash path into parallel insert tasks on ctx->scheduler for large
+  /// inputs. When `sip` is set it is filled — bitmap for a direct index,
+  /// hash set plus range otherwise — and marked ready. Counts
+  /// ExecStats::direct_join_builds.
+  void Build(const RowBlock& rows, const std::vector<uint32_t>& keys, size_t shards,
+             ExecContext* ctx, SipFilter* sip);
+
+  /// True when candidates need no key-equality re-check.
+  bool direct() const { return direct_; }
+
+  /// heads[r] = first candidate build row for row r of the flat `probe`
+  /// block, or kNone (no candidate or a NULL key). The scratch vectors are
+  /// the caller's, reused across blocks.
+  void ProbeHeads(const RowBlock& probe, const std::vector<uint32_t>& keys,
+                  std::vector<uint64_t>* hash_scratch,
+                  std::vector<uint8_t>* null_scratch,
+                  std::vector<uint32_t>* heads) const;
+
+  /// Next candidate after build row `row` (kNone terminates).
+  uint32_t Next(uint32_t row) const { return next_[row]; }
+
+ private:
+  struct Shard {
+    FlatHashTable table;         ///< local dense entry ids
+    std::vector<uint32_t> rows;  ///< local entry id -> build row
+  };
+
+  void BuildDirect(const ColumnVector& key, SipFilter* sip);
+  void BuildHashed(const RowBlock& rows, const std::vector<uint32_t>& keys,
+                   size_t shards, ExecContext* ctx, SipFilter* sip);
+
+  bool direct_ = false;
+  std::vector<uint32_t> next_;  ///< build row -> next candidate (both paths)
+  // Direct path.
+  int64_t min_ = 0;
+  uint64_t span_ = 0;           ///< max - min + 1 (0: no non-NULL key)
+  std::vector<uint32_t> head_;  ///< key - min -> first build row
+  // Hash path.
+  std::vector<Shard> shards_;
+  size_t shard_mask_ = 0;
+};
+
 /// \brief Hash-join build side shared by sibling morsel fragments
 /// (DESIGN.md §12): the inner table of one scan unit is read and hashed
 /// once, not once per fragment.
 ///
 /// The first fragment to Open executes the build under the lock: it pulls
-/// the owned build child to completion, then inserts the rows into
-/// `fanout`-sharded FlatHashTables with one work-stealing task per shard on
-/// the query's Scheduler (shard = high hash bits, so a probe derives its
-/// shard from the key hash alone and only ever reads one shard). Later
-/// fragments block until the build resolves and probe the shards read-only.
+/// the owned build child to completion, then indexes the rows with a
+/// JoinIndex — hashed into `fanout`-sharded FlatHashTables with one
+/// work-stealing task per shard on the query's Scheduler (shard = high hash
+/// bits, so a probe derives its shard from the key hash alone and only ever
+/// reads one shard), or indexed directly for small-span integer keys. Later
+/// fragments block until the build resolves and probe the index read-only.
 /// NULL-key rows are dropped at build time — shared builds never serve
 /// RIGHT/FULL joins, the only types that emit unmatched build rows (they
 /// would also race the matched-bit array across fragments; the planner
@@ -68,36 +144,17 @@ class SharedJoinBuild {
   void FragmentClosed(ExecContext* ctx);
 
   /// Valid after Ensure: the build exceeded its budget and lives in
-  /// spill_path() instead of rows()/shards.
+  /// spill_path() instead of rows()/index().
   bool spilled() const { return spilled_; }
   const std::string& spill_path() const { return spill_path_; }
   const RowBlock& rows() const { return rows_; }
+  const JoinIndex& index() const { return index_; }
   size_t fanout() const { return fanout_; }
   Operator* child() const { return build_.get(); }
   std::vector<TypeId> OutputTypes() const { return build_->OutputTypes(); }
   std::vector<std::string> OutputNames() const { return build_->OutputNames(); }
 
-  uint32_t ShardOf(uint64_t hash) const {
-    return static_cast<uint32_t>((hash >> 32) & shard_mask_);
-  }
-  /// First local entry in `shard` whose hash matches, or kNone.
-  uint32_t ProbeHead(uint32_t shard, uint64_t hash) const {
-    return shards_[shard].table.Probe(hash);
-  }
-  uint32_t NextInShard(uint32_t shard, uint32_t local) const {
-    return shards_[shard].table.Next(local);
-  }
-  /// Map a shard-local entry id to its rows() index.
-  uint32_t GlobalRow(uint32_t shard, uint32_t local) const {
-    return shards_[shard].rows[local];
-  }
-
  private:
-  struct Shard {
-    FlatHashTable table;         ///< local dense entry ids
-    std::vector<uint32_t> rows;  ///< local entry id -> rows_ row index
-  };
-
   Status Build(ExecContext* ctx);  ///< caller holds mu_
 
   OperatorPtr build_;
@@ -109,14 +166,15 @@ class SharedJoinBuild {
   bool spilled_ = false;
   std::string spill_path_;
   RowBlock rows_;
-  std::vector<Shard> shards_;
-  size_t shard_mask_ = 0;
+  JoinIndex index_;
+  size_t num_shards_ = 1;      ///< hash-path shards: fanout rounded up to 2^k
   size_t bytes_ = 0;           ///< budget reservation held until last close
   size_t open_fragments_;      ///< fragments that have not closed yet
 };
 
-/// \brief Hash join (Section 6.1 #3): consumes the inner child into a flat
-/// hash table, then streams the probe side with batched hash/probe passes.
+/// \brief Hash join (Section 6.1 #3): consumes the inner child, indexes it
+/// once with a JoinIndex, then streams the probe side with batched probe
+/// passes.
 /// Externalizes by switching to a sort-merge join at runtime when the build
 /// would not fit, and publishes a SIP filter after an in-memory build. In
 /// morsel-fragment plans the build is a SharedJoinBuild owned jointly with
@@ -166,11 +224,10 @@ class HashJoinOperator : public Operator {
   ExecContext* ctx_ = nullptr;
 
   RowBlock build_rows_;
-  /// Entry id == build_rows_ row index; NULL-key rows are unlinked entries.
-  FlatHashTable index_;
+  JoinIndex index_;  ///< candidates are build_rows_ row indexes
   std::vector<uint8_t> build_matched_;
   size_t build_bytes_ = 0;
-  std::vector<uint64_t> hash_buf_;  // batched key hashes (build + probe)
+  std::vector<uint64_t> hash_buf_;  // batched probe key hashes
   std::vector<uint32_t> head_buf_;  // batched probe chain heads
   std::vector<uint8_t> null_key_buf_;
 

@@ -46,6 +46,9 @@ struct ExecStats {
   std::atomic<uint64_t> topk_rows_pruned{0};
   std::atomic<uint64_t> prepass_disabled{0};   ///< runtime prepass shutoffs
   std::atomic<uint64_t> hash_to_merge_switches{0};
+  /// Hash-join builds indexed directly by key offset instead of hashed
+  /// (small-span integer keys, DESIGN.md §5): one count per build.
+  std::atomic<uint64_t> direct_join_builds{0};
   std::atomic<uint64_t> exchange_bytes{0};     ///< simulated interconnect traffic
   /// Transient I/O errors absorbed by reader-level retry (DESIGN.md §10).
   std::atomic<uint64_t> io_retries{0};
@@ -91,6 +94,7 @@ struct ExecStats {
     topk_rows_pruned += other.topk_rows_pruned.load(std::memory_order_relaxed);
     prepass_disabled += other.prepass_disabled.load(std::memory_order_relaxed);
     hash_to_merge_switches += other.hash_to_merge_switches.load(std::memory_order_relaxed);
+    direct_join_builds += other.direct_join_builds.load(std::memory_order_relaxed);
     exchange_bytes += other.exchange_bytes.load(std::memory_order_relaxed);
     io_retries += other.io_retries.load(std::memory_order_relaxed);
     reads_failed_over += other.reads_failed_over.load(std::memory_order_relaxed);

@@ -376,14 +376,40 @@ Status ScanOperator::ComputeSelection(Source* src, size_t block_idx, uint64_t ro
           fblock->columns[c] = fblock->columns[c].Decoded();
       }
     }
-    // Nothing above the SIPs filtered rows yet => sel is still all-ones and
-    // the dense batched-membership path applies (until a SIP dirties it).
-    bool sel_dense = before == n;
     for (size_t si = 0; si < spec_.sips.size(); ++si) {
       const auto& sip = spec_.sips[si];
       if (!sip->ready.load(std::memory_order_acquire)) continue;
       const std::vector<uint32_t>& cols = sip_cols[si];
       if (cols.empty()) continue;  // no valid probe columns: nothing to test
+      if (sip->bitmap_form) {
+        // Direct-indexed build (DESIGN.md §5): one bounds check, shift and
+        // load per row; the probe column is never hashed. A dict-coded
+        // column resolves each dictionary entry to a bit once and tests
+        // codes. A non-integer probe column cannot equal an integer build
+        // key; the join drops its rows, so the filter leaves them alone.
+        const ColumnVector& col = fblock->columns[cols[0]];
+        const ColumnVector& values = col.IsDictCoded() ? *col.dict : col;
+        if (StorageClassOf(values.type) != StorageClass::kInt64) continue;
+        const uint8_t* nulls = col.nulls.empty() ? nullptr : col.nulls.data();
+        uint8_t* s = sel->data();
+        if (col.IsDictCoded()) {
+          dict_hit_buf_.resize(values.ints.size());
+          for (size_t e = 0; e < values.ints.size(); ++e)
+            dict_hit_buf_[e] = sip->BitmapContains(values.ints[e]) ? 1 : 0;
+          for (size_t i = 0; i < n; ++i) {
+            s[i] &= dict_hit_buf_[static_cast<size_t>(col.ints[i])];
+          }
+          if (ctx_->stats) ctx_->stats->rows_processed_encoded.fetch_add(n);
+        } else {
+          for (size_t i = 0; i < n; ++i) {
+            s[i] &= sip->BitmapContains(col.ints[i]) ? 1 : 0;
+          }
+        }
+        if (nulls != nullptr) {  // NULL keys never join
+          for (size_t i = 0; i < n; ++i) s[i] &= nulls[i] ^ 1;
+        }
+        continue;
+      }
       if (sip->has_range && cols.size() == 1) {
         const ColumnVector& col = fblock->columns[cols[0]];
         if (col.IsDictCoded() && col.dict_sorted &&
@@ -408,7 +434,6 @@ Status ScanOperator::ComputeSelection(Source* src, size_t block_idx, uint64_t ro
             }
           }
         }
-        sel_dense = false;
       }
       // Batch-hash the probe key columns for the rows still selected (the
       // range prune above often kills most of a block), then resolve
@@ -418,21 +443,10 @@ Status ScanOperator::ComputeSelection(Source* src, size_t block_idx, uint64_t ro
       for (uint32_t c : cols) any_nulls |= !fblock->columns[c].nulls.empty();
       if (any_nulls) {  // 1 in null_buf_ = NULL key, which never joins
         NullKeyMask(*fblock, cols, &null_buf_);
-        for (size_t i = 0; i < n; ++i) {
-          if (!(*sel)[i]) continue;
-          if (null_buf_[i] || !sip->key_hashes.Contains(hash_buf_[i])) (*sel)[i] = 0;
-        }
-      } else if (sel_dense) {
-        // Every row probes: batched membership with home-slot prefetch.
-        hit_buf_.resize(n);
-        sip->key_hashes.ContainsBatch(hash_buf_.data(), n, hit_buf_.data());
-        for (size_t i = 0; i < n; ++i) (*sel)[i] &= hit_buf_[i];
-      } else {
-        for (size_t i = 0; i < n; ++i) {
-          if ((*sel)[i] && !sip->key_hashes.Contains(hash_buf_[i])) (*sel)[i] = 0;
-        }
+        for (size_t i = 0; i < n; ++i) (*sel)[i] &= null_buf_[i] ^ 1;
       }
-      sel_dense = false;  // this SIP may have zeroed rows
+      // Batched membership of the surviving rows, home slots prefetched.
+      sip->key_hashes.FilterMasked(hash_buf_.data(), n, sel->data());
     }
     for (uint8_t s : *sel) after += s;
     if (ctx_->stats) ctx_->stats->rows_sip_filtered.fetch_add(before - after);

@@ -30,14 +30,30 @@ namespace stratica {
 
 /// \brief Filter handed from a HashJoin build side to a probe-side scan
 /// (Section 6.1, Sideways Information Passing). Populated when the join's
-/// hash table is complete; the pull model guarantees the scan only runs
-/// afterwards.
+/// index is complete (JoinIndex::Build); the pull model guarantees the scan
+/// only runs afterwards.
+///
+/// It takes one of two forms. A direct-indexed build (DESIGN.md §5) fills
+/// the bitmap: bit (key - min) is set iff a build row has that key, so a
+/// probe row costs a subtract, a bounds check, a shift and a load, and is
+/// never hashed. Every other build fills key_hashes, plus [min, max] for a
+/// single int-class key so the scan can range-prune before hashing.
 struct SipFilter {
   std::vector<int> probe_columns;  ///< Key columns, as scan-output indexes.
   std::atomic<bool> ready{false};
+  bool bitmap_form = false;        ///< bitmap filled instead of key_hashes
+  std::vector<uint64_t> bitmap;    ///< bit (key - min), span bits
+  uint64_t span = 0;               ///< max - min + 1; 0 = no build key at all
   FlatHashSet key_hashes;  ///< Build-side key hashes (seed kSipSeed).
-  bool has_range = false;  ///< Min/max fast path for single int-class keys.
+  bool has_range = false;  ///< [min, max] valid: single int-class key
   int64_t min = 0, max = 0;
+
+  /// Bitmap form: is `v` a build key? Unsigned offsets keep keys near
+  /// INT64_MIN/INT64_MAX free of signed overflow.
+  bool BitmapContains(int64_t v) const {
+    uint64_t off = static_cast<uint64_t>(v) - static_cast<uint64_t>(min);
+    return off < span && ((bitmap[off >> 6] >> (off & 63)) & 1) != 0;
+  }
 };
 
 /// Pruning bound `column <op> literal`, applied to container and block
@@ -186,8 +202,9 @@ class ScanOperator : public Operator {
   /// `src` may be null (WOS slices: deletes/epochs already applied).
   /// `*selected` receives the surviving row count. `fblock` may hold encoded
   /// (RLE/dict) columns — predicates evaluate on them directly; SIP probing
-  /// flattens RLE probe columns in place and translates range filters to
-  /// code ranges on sorted-dict columns.
+  /// flattens RLE probe columns in place, resolves a bitmap SIP once per
+  /// dictionary entry and translates range filters to code ranges on
+  /// sorted-dict columns.
   Status ComputeSelection(Source* src, size_t block_idx, uint64_t row_start,
                           RowBlock* fblock, size_t n, const Expr* predicate,
                           const std::vector<std::vector<uint32_t>>& sip_cols,
@@ -221,8 +238,8 @@ class ScanOperator : public Operator {
   std::vector<uint8_t> sel_scratch_;
   std::vector<uint8_t> pred_scratch_;
   std::vector<uint64_t> hash_buf_;
-  std::vector<uint8_t> hit_buf_;
   std::vector<uint8_t> null_buf_;
+  std::vector<uint8_t> dict_hit_buf_;  ///< bitmap SIP: per dictionary entry
 };
 
 }  // namespace stratica

@@ -72,22 +72,6 @@ TEST(FlatHashTable, EqualHashesChainAllPayloads) {
   }
 }
 
-TEST(FlatHashTable, UnlinkedEntriesKeepDenseIdsButNeverProbe) {
-  FlatHashTable t;
-  std::vector<uint64_t> hashes = {Mix64(1), Mix64(2), Mix64(3), Mix64(4)};
-  std::vector<uint8_t> skip = {0, 1, 0, 1};  // entries 1 and 3 unlinked
-  t.InsertBatch(hashes.data(), hashes.size(), skip.data());
-  EXPECT_EQ(t.NumEntries(), 4u);
-  EXPECT_EQ(t.Probe(Mix64(1)), 0u);
-  EXPECT_EQ(t.Probe(Mix64(2)), FlatHashTable::kNone);
-  EXPECT_EQ(t.Probe(Mix64(3)), 2u);
-  EXPECT_EQ(t.Probe(Mix64(4)), FlatHashTable::kNone);
-  // Growth must not resurrect unlinked entries.
-  for (uint64_t i = 0; i < 1000; ++i) t.Insert(Mix64(100 + i));
-  EXPECT_EQ(t.Probe(Mix64(2)), FlatHashTable::kNone);
-  EXPECT_EQ(t.Probe(Mix64(3)), 2u);
-}
-
 TEST(FlatHashTable, ProbeBatchMatchesScalarProbe) {
   FlatHashTable t;
   Rng rng(7);
@@ -129,12 +113,27 @@ TEST(FlatHashSet, InsertContainsGrowthAndZero) {
   EXPECT_FALSE(s.Contains(Mix64(99999)));
 
   std::vector<uint64_t> queries = {0, Mix64(1), Mix64(99999), Mix64(2)};
-  std::vector<uint8_t> hits(queries.size());
-  s.ContainsBatch(queries.data(), queries.size(), hits.data());
+  std::vector<uint8_t> hits(queries.size(), 1);
+  s.FilterMasked(queries.data(), queries.size(), hits.data());
   EXPECT_EQ(hits[0], 1);
   EXPECT_EQ(hits[1], 1);
   EXPECT_EQ(hits[2], 0);
   EXPECT_EQ(hits[3], 1);
+}
+
+TEST(FlatHashSet, FilterMaskedTestsOnlySelectedRows) {
+  FlatHashSet s;
+  for (uint64_t i = 1; i <= 1000; ++i) s.Insert(Mix64(i));
+  std::vector<uint64_t> values;
+  std::vector<uint8_t> sel;
+  for (uint64_t i = 0; i < 64; ++i) {
+    values.push_back(Mix64(i % 2 == 0 ? i + 1 : i + 5000));  // even rows hit
+    sel.push_back(i % 3 != 0);
+  }
+  s.FilterMasked(values.data(), values.size(), sel.data());
+  for (size_t i = 0; i < values.size(); ++i) {
+    EXPECT_EQ(sel[i], (i % 3 != 0 && i % 2 == 0) ? 1 : 0) << i;
+  }
 }
 
 // ---------------------------------------------------------------------------
