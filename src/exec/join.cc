@@ -36,6 +36,67 @@ void AppendNullRow(RowBlock* out, size_t first_col, const std::vector<TypeId>& t
   }
 }
 
+/// Drains an open build input into `rows`, reserving each block against the
+/// query budget (`*bytes` is the reservation held), then closes it. When a
+/// block does not fit, the join switches from hash to sort-merge at run
+/// time: what is held, that block and the rest of the input are spooled to
+/// one spill file, the reservation is released, `rows` is emptied and
+/// `*spill_path` names the file.
+Status DrainBuild(Operator* build, ExecContext* ctx, RowBlock* rows, size_t* bytes,
+                  std::string* spill_path) {
+  *rows = RowBlock(build->OutputTypes());
+  for (;;) {
+    RowBlock block;
+    STRATICA_RETURN_NOT_OK(build->GetNext(&block));
+    if (block.NumRows() == 0) break;
+    block.DecodeAll();
+    size_t block_bytes = block.MemoryBytes();
+    if (ctx->budget && !ctx->budget->TryReserve(block_bytes)) {
+      if (ctx->stats) ctx->stats->hash_to_merge_switches.fetch_add(1);
+      SpillWriter writer(ctx->fs, ctx->NextSpillPath());
+      STRATICA_RETURN_NOT_OK(writer.Append(*rows));
+      STRATICA_RETURN_NOT_OK(writer.Append(block));
+      for (;;) {
+        RowBlock more;
+        STRATICA_RETURN_NOT_OK(build->GetNext(&more));
+        if (more.NumRows() == 0) break;
+        more.DecodeAll();
+        STRATICA_RETURN_NOT_OK(writer.Append(more));
+      }
+      STRATICA_RETURN_NOT_OK(writer.Finish());
+      if (ctx->stats) {
+        ctx->stats->rows_spilled.fetch_add(writer.rows());
+        ctx->stats->spill_files.fetch_add(1);
+      }
+      ctx->budget->Release(*bytes);
+      *bytes = 0;
+      *rows = RowBlock(build->OutputTypes());
+      *spill_path = writer.path();
+      break;
+    }
+    *bytes += block_bytes;
+    rows->AppendRange(block, 0, block.NumRows());
+  }
+  return build->Close();
+}
+
+/// The sort-merge join that replaces a hash join whose build spilled: the
+/// probe input and the spilled build, each sorted on the join keys.
+OperatorPtr MergeJoinOverSpill(OperatorPtr probe, const std::string& spill_path,
+                               std::vector<TypeId> build_types,
+                               std::vector<std::string> build_names, JoinSpec spec) {
+  std::vector<SortKey> lkeys, rkeys;
+  for (uint32_t k : spec.probe_keys) lkeys.push_back({k, false});
+  for (uint32_t k : spec.build_keys) rkeys.push_back({k, false});
+  auto spill_src = std::make_unique<SpillSourceOperator>(
+      spill_path, std::move(build_types), std::move(build_names));
+  auto sorted_build = std::make_unique<SortOperator>(std::move(spill_src), rkeys);
+  auto sorted_probe = std::make_unique<SortOperator>(std::move(probe), lkeys);
+  spec.sip = nullptr;  // no hash table to filter with
+  return std::make_unique<MergeJoinOperator>(std::move(sorted_probe),
+                                             std::move(sorted_build), std::move(spec));
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -223,47 +284,11 @@ Status SharedJoinBuild::Ensure(ExecContext* ctx) {
 }
 
 Status SharedJoinBuild::Build(ExecContext* ctx) {
-  rows_ = RowBlock(build_->OutputTypes());
   STRATICA_RETURN_NOT_OK(build_->Open(ctx));
-  for (;;) {
-    RowBlock block;
-    STRATICA_RETURN_NOT_OK(build_->GetNext(&block));
-    if (block.NumRows() == 0) break;
-    block.DecodeAll();
-    size_t block_bytes = block.MemoryBytes();
-    if (ctx->budget && !ctx->budget->TryReserve(block_bytes)) {
-      // Same runtime switch as the serial join: spool the build rows to one
-      // spill file; every fragment then sort-merges its own probe subset
-      // against the full spilled build (their union is the unit's result).
-      if (ctx->stats) ctx->stats->hash_to_merge_switches.fetch_add(1);
-      SpillWriter writer(ctx->fs, ctx->NextSpillPath());
-      STRATICA_RETURN_NOT_OK(writer.Append(rows_));
-      STRATICA_RETURN_NOT_OK(writer.Append(block));
-      for (;;) {
-        RowBlock more;
-        STRATICA_RETURN_NOT_OK(build_->GetNext(&more));
-        if (more.NumRows() == 0) break;
-        more.DecodeAll();
-        STRATICA_RETURN_NOT_OK(writer.Append(more));
-      }
-      STRATICA_RETURN_NOT_OK(writer.Finish());
-      if (ctx->stats) {
-        ctx->stats->rows_spilled.fetch_add(writer.rows());
-        ctx->stats->spill_files.fetch_add(1);
-      }
-      STRATICA_RETURN_NOT_OK(build_->Close());
-      ctx->budget->Release(bytes_);
-      bytes_ = 0;
-      rows_ = RowBlock(build_->OutputTypes());
-      spilled_ = true;
-      spill_path_ = writer.path();
-      return Status::OK();
-    }
-    bytes_ += block_bytes;
-    rows_.AppendRange(block, 0, block.NumRows());
-  }
-  STRATICA_RETURN_NOT_OK(build_->Close());
-
+  // On a spill every fragment sort-merges its own probe subset against the
+  // full spilled build (their union is the unit's result).
+  STRATICA_RETURN_NOT_OK(DrainBuild(build_.get(), ctx, &rows_, &bytes_, &spill_path_));
+  if (spilled()) return Status::OK();
   // Every fragment is blocked in Ensure until this returns, so the SIP is
   // published before any fragment's probe scan opens.
   index_.Build(rows_, spec_.build_keys, num_shards_, ctx, spec_.sip.get());
@@ -316,54 +341,14 @@ std::vector<Operator*> HashJoinOperator::Children() const {
 }
 
 Status HashJoinOperator::BuildTable() {
-  build_rows_ = RowBlock(build_->OutputTypes());
   build_bytes_ = 0;
-  for (;;) {
-    RowBlock block;
-    STRATICA_RETURN_NOT_OK(build_->GetNext(&block));
-    if (block.NumRows() == 0) break;
-    block.DecodeAll();
-    size_t bytes = block.MemoryBytes();
-    if (ctx_->budget && !ctx_->budget->TryReserve(bytes)) {
-      // Runtime algorithm switch: spool what we have plus the rest of the
-      // build input to disk and run a sort-merge join instead.
-      if (ctx_->stats) ctx_->stats->hash_to_merge_switches.fetch_add(1);
-      SpillWriter writer(ctx_->fs, ctx_->NextSpillPath());
-      STRATICA_RETURN_NOT_OK(writer.Append(build_rows_));
-      STRATICA_RETURN_NOT_OK(writer.Append(block));
-      for (;;) {
-        RowBlock more;
-        STRATICA_RETURN_NOT_OK(build_->GetNext(&more));
-        if (more.NumRows() == 0) break;
-        more.DecodeAll();
-        STRATICA_RETURN_NOT_OK(writer.Append(more));
-      }
-      STRATICA_RETURN_NOT_OK(writer.Finish());
-      if (ctx_->stats) {
-        ctx_->stats->rows_spilled.fetch_add(writer.rows());
-        ctx_->stats->spill_files.fetch_add(1);
-      }
-      STRATICA_RETURN_NOT_OK(build_->Close());
-      ctx_->budget->Release(build_bytes_);
-      build_bytes_ = 0;
-      build_rows_ = RowBlock(build_->OutputTypes());
-
-      std::vector<SortKey> lkeys, rkeys;
-      for (uint32_t k : spec_.probe_keys) lkeys.push_back({k, false});
-      for (uint32_t k : spec_.build_keys) rkeys.push_back({k, false});
-      auto spill_src = std::make_unique<SpillSourceOperator>(
-          writer.path(), build_->OutputTypes(), build_->OutputNames());
-      auto sorted_build =
-          std::make_unique<SortOperator>(std::move(spill_src), rkeys);
-      auto sorted_probe = std::make_unique<SortOperator>(std::move(probe_), lkeys);
-      JoinSpec mj_spec = spec_;
-      mj_spec.sip = nullptr;  // no hash table to filter with
-      fallback_ = std::make_unique<MergeJoinOperator>(
-          std::move(sorted_probe), std::move(sorted_build), mj_spec);
-      return fallback_->Open(ctx_);
-    }
-    build_bytes_ += bytes;
-    build_rows_.AppendRange(block, 0, block.NumRows());
+  std::string spill_path;
+  STRATICA_RETURN_NOT_OK(
+      DrainBuild(build_.get(), ctx_, &build_rows_, &build_bytes_, &spill_path));
+  if (!spill_path.empty()) {
+    fallback_ = MergeJoinOverSpill(std::move(probe_), spill_path, build_->OutputTypes(),
+                                   build_->OutputNames(), spec_);
+    return fallback_->Open(ctx_);
   }
   build_matched_.assign(build_rows_.NumRows(), 0);
   // Index once, with the row count known; also publishes the SIP filter.
@@ -386,26 +371,15 @@ Status HashJoinOperator::Open(ExecContext* ctx) {
     }
     STRATICA_RETURN_NOT_OK(shared_->Ensure(ctx));
     if (shared_->spilled()) {
-      std::vector<SortKey> lkeys, rkeys;
-      for (uint32_t k : spec_.probe_keys) lkeys.push_back({k, false});
-      for (uint32_t k : spec_.build_keys) rkeys.push_back({k, false});
-      auto spill_src = std::make_unique<SpillSourceOperator>(
-          shared_->spill_path(), shared_->OutputTypes(), shared_->OutputNames());
-      auto sorted_build =
-          std::make_unique<SortOperator>(std::move(spill_src), rkeys);
-      auto sorted_probe = std::make_unique<SortOperator>(std::move(probe_), lkeys);
-      JoinSpec mj_spec = spec_;
-      mj_spec.sip = nullptr;
-      fallback_ = std::make_unique<MergeJoinOperator>(
-          std::move(sorted_probe), std::move(sorted_build), mj_spec);
+      fallback_ = MergeJoinOverSpill(std::move(probe_), shared_->spill_path(),
+                                     shared_->OutputTypes(), shared_->OutputNames(), spec_);
       return fallback_->Open(ctx);
     }
     return probe_->Open(ctx);
   }
   STRATICA_RETURN_NOT_OK(build_->Open(ctx));
-  STRATICA_RETURN_NOT_OK(BuildTable());
+  STRATICA_RETURN_NOT_OK(BuildTable());  // closes the build
   if (fallback_) return Status::OK();  // probe was consumed by the fallback
-  STRATICA_RETURN_NOT_OK(build_->Close());
   return probe_->Open(ctx);
 }
 

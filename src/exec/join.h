@@ -145,7 +145,7 @@ class SharedJoinBuild {
 
   /// Valid after Ensure: the build exceeded its budget and lives in
   /// spill_path() instead of rows()/index().
-  bool spilled() const { return spilled_; }
+  bool spilled() const { return !spill_path_.empty(); }
   const std::string& spill_path() const { return spill_path_; }
   const RowBlock& rows() const { return rows_; }
   const JoinIndex& index() const { return index_; }
@@ -163,7 +163,6 @@ class SharedJoinBuild {
   std::mutex mu_;
   bool done_ = false;  ///< guarded by mu_, as is everything below until set
   Status status_;
-  bool spilled_ = false;
   std::string spill_path_;
   RowBlock rows_;
   JoinIndex index_;

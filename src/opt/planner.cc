@@ -1,7 +1,7 @@
 #include "opt/planner.h"
 
 #include <algorithm>
-#include <map>
+#include <functional>
 #include <set>
 
 #include "exec/exchange.h"
@@ -133,10 +133,14 @@ bool NullRejecting(const Expr& e, int col_lo, int col_hi) {
   return false;
 }
 
-}  // namespace
+/// A column name without its "alias." qualifier.
+std::string BareName(const std::string& name) {
+  auto dot = name.rfind('.');
+  return dot == std::string::npos ? name : name.substr(dot + 1);
+}
 
 /// One resolved FROM entry.
-struct Planner::TableSlot {
+struct TableSlot {
   std::string alias;
   TableDef def;
   ProjectionDef projection;             // chosen physical source
@@ -152,166 +156,291 @@ struct Planner::TableSlot {
   // Remaining family copies per unit, health-checked again at hedge time so
   // a straggling or dead unit can be re-issued against a buddy mid-query.
   std::vector<std::vector<ProjectionStorage*>> unit_alts;
-  uint32_t unit_offset = 0;  // ring offset of the projection serving units
 };
 
-struct Planner::Scope {
+/// Equality join keys between two tables, as combined-schema columns.
+struct JoinEdge {
+  size_t left_table, right_table;          // indexes into tables, left < right
+  std::vector<int> left_cols, right_cols;  // combined-schema indexes
+};
+
+/// One join of the stream against a build table. Join keys depend only on
+/// the join order, not the unit, so steps are computed once; only the SIP
+/// attachment, the co-located build unit and the fact storage vary per
+/// pipeline.
+struct JoinStep {
+  JoinSpec jspec;                               // without sip
+  std::shared_ptr<SipFilter> sip;               // primary of unit 0 populates
+  bool colocated = false;
+  ScanSpec build_spec;                          // colocated: per-unit scan
+  std::vector<ProjectionStorage*> build_units;  //   "
+  std::shared_ptr<BroadcastState> broadcast;    // else: shared materialization
+};
+
+/// Everything PlanSelect decides, filled in by the passes in order
+/// (DESIGN.md §15). A pass reads only what earlier passes wrote.
+struct PlanState {
+  PlanState(const SelectStmt& select, Cluster* c) : stmt(select), cluster(c) {}
+
+  const SelectStmt& stmt;
+  Cluster* cluster;
+  // Query shape.
+  bool has_aggs = false;
+  bool has_windows = false;
+  // 1. Bind and place predicates.
   std::vector<TableSlot> tables;
   BindSchema schema;  // combined: "alias.col" names
-};
-
-Result<PhysicalPlan> Planner::PlanSelect(const SelectStmt& stmt,
-                                         size_t intra_node_parallelism) {
-  Catalog* catalog = cluster_->catalog();
-  Scope scope;
-
-  // ---- resolve FROM ---------------------------------------------------------
-  for (const auto& ref : stmt.from) {
-    TableSlot slot;
-    slot.alias = ref.alias.empty() ? ref.table : ref.alias;
-    STRATICA_ASSIGN_OR_RETURN(slot.def, catalog->GetTable(ref.table));
-    slot.join_type = ref.join_type;
-    slot.schema_offset = static_cast<int>(scope.schema.size());
-    for (const auto& c : slot.def.columns) {
-      scope.schema.Add(slot.alias + "." + c.name, c.type);
-    }
-    scope.tables.push_back(std::move(slot));
-  }
-
-  // ---- bind -----------------------------------------------------------------
-  SelectStmt bound = stmt;  // shallow: ExprPtr shared; clone what we mutate
-  std::vector<ExprPtr> conjuncts;
-  if (bound.where) {
-    ExprPtr where = CloneExpr(bound.where);
-    STRATICA_RETURN_NOT_OK(BindExpr(where, scope.schema));
-    SplitConjuncts(where, &conjuncts);
-  }
-  // ON clauses: equality keys + residuals.
-  struct JoinEdge {
-    size_t left_table, right_table;  // indexes into scope.tables
-    std::vector<int> left_cols, right_cols;  // combined-schema indexes
-  };
   std::vector<JoinEdge> edges;
-  std::vector<ExprPtr> residuals;
-  auto table_of_column = [&](int col) -> size_t {
-    for (size_t t = scope.tables.size(); t-- > 0;) {
-      if (col >= scope.tables[t].schema_offset) return t;
+  std::vector<ExprPtr> residuals;  // bound to `schema`; filter above the joins
+  bool all_inner = true;
+  // 3. Join order: order[0] is the fact, the probe stream.
+  std::vector<size_t> order;
+  // 4. Column pruning: kept[t] lists the table columns scan t emits,
+  // ascending; scan_pos[t] maps a table column to its scan-output index
+  // (-1 = pruned).
+  std::vector<std::vector<int>> kept, scan_pos;
+  // 5. Scan specs: one per-unit template per table, and the stream schema
+  // after all joins (each table's kept columns, in join order).
+  std::vector<ScanSpec> scans;
+  BindSchema stream_schema;
+  // 6. Joins, shared by every unit pipeline, and the residual filter.
+  std::shared_ptr<std::vector<JoinStep>> steps = std::make_shared<std::vector<JoinStep>>();
+  ExprPtr residual_expr;
+  // 7. Physical properties.
+  bool sort_eliminated = false;
+  size_t fanout = 1;
+  bool morsel_bypass = false;
+
+  size_t fact() const { return order[0]; }
+  size_t TableOf(int col) const {
+    for (size_t t = tables.size(); t-- > 0;) {
+      if (col >= tables[t].schema_offset) return t;
     }
     return 0;
-  };
-  auto classify = [&](const ExprPtr& conjunct) {
-    std::vector<int> cols;
-    CollectColumns(*conjunct, &cols);
-    std::set<size_t> tables;
-    for (int c : cols) tables.insert(table_of_column(c));
-    if (tables.size() <= 1) {
-      size_t t = tables.empty() ? 0 : *tables.begin();
-      scope.tables[t].local_predicates.push_back(conjunct);
-      return;
-    }
-    if (tables.size() == 2 && conjunct->kind == ExprKind::kCompare &&
-        conjunct->cmp == CompareOp::kEq &&
-        conjunct->children[0]->kind == ExprKind::kColumnRef &&
-        conjunct->children[1]->kind == ExprKind::kColumnRef) {
-      int a = conjunct->children[0]->column_index;
-      int b = conjunct->children[1]->column_index;
-      size_t ta = table_of_column(a), tb = table_of_column(b);
-      if (ta > tb) {
-        std::swap(a, b);
-        std::swap(ta, tb);
-      }
-      // Attach to an existing edge between the pair if present.
-      for (auto& edge : edges) {
-        if (edge.left_table == ta && edge.right_table == tb) {
-          edge.left_cols.push_back(a);
-          edge.right_cols.push_back(b);
-          return;
-        }
-      }
-      edges.push_back({ta, tb, {a}, {b}});
-      return;
-    }
-    residuals.push_back(conjunct);
-  };
-  for (auto& c : conjuncts) classify(c);
-  for (size_t t = 1; t < scope.tables.size(); ++t) {
-    if (!stmt.from[t].on) continue;
-    ExprPtr on = CloneExpr(stmt.from[t].on);
-    STRATICA_RETURN_NOT_OK(BindExpr(on, scope.schema));
-    std::vector<ExprPtr> on_conjuncts;
-    SplitConjuncts(on, &on_conjuncts);
-    for (auto& c : on_conjuncts) classify(c);
   }
+  /// Scan-output index of a combined-schema column (its table keeps it).
+  int ScanPos(int col) const {
+    size_t t = TableOf(col);
+    return scan_pos[t][col - tables[t].schema_offset];
+  }
+  Result<ExprPtr> RebindToStream(const ExprPtr& e) const {
+    ExprPtr copy = CloneUnbound(e);
+    STRATICA_RETURN_NOT_OK(BindExpr(copy, stream_schema));
+    return copy;
+  }
+};
 
-  // Outer-to-inner conversion: a null-rejecting WHERE predicate on the
-  // nullable side of an outer join converts it to inner (Section 6.2).
-  for (size_t t = 1; t < scope.tables.size(); ++t) {
-    TableSlot& slot = scope.tables[t];
-    if (slot.join_type != JoinType::kLeft) continue;
-    int lo = slot.schema_offset;
-    int hi = lo + static_cast<int>(slot.def.columns.size());
-    for (const auto& pred : slot.local_predicates) {
-      if (NullRejecting(*pred, lo, hi)) {
-        slot.join_type = JoinType::kInner;
-        break;
-      }
+// ---- pass 1: bind and place predicates --------------------------------------
+
+/// The tables a bound conjunct reads; one that reads no column counts as
+/// table 0's.
+std::set<size_t> TablesOf(const PlanState& s, const Expr& e) {
+  std::vector<int> cols;
+  CollectColumns(e, &cols);
+  std::set<size_t> tables;
+  for (int c : cols) tables.insert(s.TableOf(c));
+  if (tables.empty()) tables.insert(0);
+  return tables;
+}
+
+/// Adds `a.x = b.y` across two tables to their edge; false for any other
+/// conjunct.
+bool AddJoinKey(PlanState* s, const ExprPtr& conjunct) {
+  if (conjunct->kind != ExprKind::kCompare || conjunct->cmp != CompareOp::kEq ||
+      conjunct->children[0]->kind != ExprKind::kColumnRef ||
+      conjunct->children[1]->kind != ExprKind::kColumnRef) {
+    return false;
+  }
+  int a = conjunct->children[0]->column_index;
+  int b = conjunct->children[1]->column_index;
+  size_t ta = s->TableOf(a), tb = s->TableOf(b);
+  if (ta == tb) return false;
+  if (ta > tb) {
+    std::swap(a, b);
+    std::swap(ta, tb);
+  }
+  for (auto& edge : s->edges) {
+    if (edge.left_table == ta && edge.right_table == tb) {
+      edge.left_cols.push_back(a);
+      edge.right_cols.push_back(b);
+      return true;
     }
   }
+  s->edges.push_back({ta, tb, {a}, {b}});
+  return true;
+}
 
-  // Transitive predicates across join keys (Section 6.2): an equality/range
-  // literal predicate on one side of a join equality applies to the other.
-  for (const auto& edge : edges) {
+/// Inner placement: a one-table conjunct filters that table's scan, a
+/// column equality across two tables is a join key, anything else is a
+/// residual above the joins.
+void PlaceInner(PlanState* s, const ExprPtr& conjunct) {
+  std::set<size_t> tables = TablesOf(*s, *conjunct);
+  if (tables.size() == 1) {
+    s->tables[*tables.begin()].local_predicates.push_back(conjunct);
+  } else if (tables.size() != 2 || !AddJoinKey(s, conjunct)) {
+    s->residuals.push_back(conjunct);
+  }
+}
+
+/// Transitive predicates across join keys (Section 6.2): a literal
+/// comparison on one side of a join equality applies to the other. Only
+/// sound when every join is INNER.
+void AddTransitivePredicates(PlanState* s) {
+  for (const auto& edge : s->edges) {
     for (size_t k = 0; k < edge.left_cols.size(); ++k) {
       for (size_t t : {edge.left_table, edge.right_table}) {
         int from_col = t == edge.left_table ? edge.left_cols[k] : edge.right_cols[k];
         int to_col = t == edge.left_table ? edge.right_cols[k] : edge.left_cols[k];
         size_t to_table = t == edge.left_table ? edge.right_table : edge.left_table;
-        if (scope.tables[to_table].join_type != JoinType::kInner) continue;
-        for (const auto& pred : scope.tables[t].local_predicates) {
+        for (const auto& pred : s->tables[t].local_predicates) {
           if (pred->kind != ExprKind::kCompare) continue;
           if (pred->children[0]->kind != ExprKind::kColumnRef ||
               pred->children[0]->column_index != from_col ||
               pred->children[1]->kind != ExprKind::kLiteral) {
             continue;
           }
-          ExprPtr derived = Cmp(pred->cmp,
-                                ColIdx(to_col, scope.schema.types[to_col]),
+          ExprPtr derived = Cmp(pred->cmp, ColIdx(to_col, s->schema.types[to_col]),
                                 Lit(pred->children[1]->literal));
-          derived->children[0]->column_name = scope.schema.names[to_col];
+          derived->children[0]->column_name = s->schema.names[to_col];
           bool dup = false;
-          for (const auto& existing : scope.tables[to_table].local_predicates) {
+          for (const auto& existing : s->tables[to_table].local_predicates) {
             dup |= existing->ToString() == derived->ToString();
           }
-          if (!dup) scope.tables[to_table].local_predicates.push_back(derived);
+          if (!dup) s->tables[to_table].local_predicates.push_back(derived);
         }
       }
     }
   }
+}
 
-  // ---- choose projections + scan units (buddy substitution on failure) -----
-  // Capture the topology under a shared lock so an elastic rebalance can't
-  // swap storages mid-selection: every unit, host id and ring slot below
-  // must come from one consistent node count. A plan captured just before a
-  // swap keeps working — retired storages stay alive and readable.
-  auto topology = cluster_->LockTopologyShared();
-  for (auto& slot : scope.tables) {
-    auto candidates = catalog->ProjectionsForTable(slot.def.name);
-    // Needed columns of this table.
-    std::set<std::string> needed;
-    for (const auto& c : slot.def.columns) needed.insert(c.name);  // supers cover all
+/// Pass 1: resolves FROM, binds WHERE and ON, and places each conjunct as
+/// a scan predicate, a join key or a residual. Join t's rows come from the
+/// stream (tables before t) and table t; an outer join null-extends its
+/// nullable side, so a conjunct on a table some join null-extends cannot
+/// simply filter that table's scan (DESIGN.md §15).
+Status BindAndPlacePredicates(PlanState* s) {
+  const SelectStmt& stmt = s->stmt;
+  s->has_aggs = !stmt.group_by.empty() || !stmt.having_aggs.empty();
+  for (const auto& item : stmt.items) {
+    s->has_aggs |= item.kind == SelectItem::Kind::kAgg;
+    s->has_windows |= item.kind == SelectItem::Kind::kWindow;
+  }
+  if (stmt.from.empty()) return Status::NotImplemented("SELECT without FROM");
+  Catalog* catalog = s->cluster->catalog();
+  for (const auto& ref : stmt.from) {
+    TableSlot slot;
+    slot.alias = ref.alias.empty() ? ref.table : ref.alias;
+    STRATICA_ASSIGN_OR_RETURN(slot.def, catalog->GetTable(ref.table));
+    slot.join_type = ref.join_type;
+    slot.schema_offset = static_cast<int>(s->schema.size());
+    for (const auto& c : slot.def.columns) {
+      s->schema.Add(slot.alias + "." + c.name, c.type);
+    }
+    s->tables.push_back(std::move(slot));
+  }
+  const size_t n = s->tables.size();
+
+  std::vector<ExprPtr> where;
+  if (stmt.where) {
+    ExprPtr bound = CloneExpr(stmt.where);
+    STRATICA_RETURN_NOT_OK(BindExpr(bound, s->schema));
+    SplitConjuncts(bound, &where);
+  }
+  // Outer-to-inner conversion (Section 6.2): a null-rejecting WHERE
+  // conjunct on a LEFT join's right side drops every row the join would
+  // null-extend, so the join is INNER. ON conjuncts never convert.
+  for (const auto& c : where) {
+    std::set<size_t> tables = TablesOf(*s, *c);
+    TableSlot& slot = s->tables[*tables.begin()];
+    int lo = slot.schema_offset;
+    int hi = lo + static_cast<int>(slot.def.columns.size());
+    if (tables.size() == 1 && slot.join_type == JoinType::kLeft &&
+        NullRejecting(*c, lo, hi)) {
+      slot.join_type = JoinType::kInner;
+    }
+  }
+  // first_null[t]: the first join that null-extends table t (n = none).
+  // LEFT extends its right side, RIGHT the whole stream, FULL both.
+  std::vector<size_t> first_null(n, n);
+  for (size_t t = 1; t < n; ++t) {
+    JoinType jt = s->tables[t].join_type;
+    s->all_inner &= jt == JoinType::kInner;
+    if (jt == JoinType::kLeft || jt == JoinType::kFull) first_null[t] = t;
+    if (jt == JoinType::kRight || jt == JoinType::kFull) {
+      for (size_t o = 0; o < t; ++o) first_null[o] = std::min(first_null[o], t);
+    }
+  }
+  auto null_extended_before = [&](const std::set<size_t>& tables, size_t step) {
+    for (size_t t : tables) {
+      if (first_null[t] < step) return true;
+    }
+    return false;
+  };
+  // WHERE filters the joined rows: on a null-extended table it stays a
+  // residual above the joins.
+  for (const auto& c : where) {
+    if (null_extended_before(TablesOf(*s, *c), n)) {
+      s->residuals.push_back(c);
+    } else {
+      PlaceInner(s, c);
+    }
+  }
+  // ON of join t: an equality between t and the stream is a key of any
+  // join. An INNER join places the rest like WHERE when no table they read
+  // is null-extended before it; a conjunct over several tables also needs
+  // them never null-extended, as it becomes a residual or an earlier
+  // join's key. An outer join also takes a predicate local to its nullable
+  // side, which filters that side's scan; anything else it cannot evaluate.
+  for (size_t t = 1; t < n; ++t) {
+    if (!stmt.from[t].on) continue;
+    ExprPtr on = CloneExpr(stmt.from[t].on);
+    STRATICA_RETURN_NOT_OK(BindExpr(on, s->schema));
+    std::vector<ExprPtr> on_conjuncts;
+    SplitConjuncts(on, &on_conjuncts);
+    const JoinType jt = s->tables[t].join_type;
+    for (const auto& c : on_conjuncts) {
+      std::set<size_t> tables = TablesOf(*s, *c);
+      size_t last = *tables.rbegin();
+      if (tables.size() == 2 && last == t && AddJoinKey(s, c)) continue;
+      bool early = null_extended_before(tables, t);
+      if (jt == JoinType::kInner && !early &&
+          (tables.size() == 1 || !null_extended_before(tables, n))) {
+        PlaceInner(s, c);
+        continue;
+      }
+      bool nullable_side = (jt == JoinType::kLeft && last == t) ||
+                           (jt == JoinType::kRight && last < t);
+      if (tables.size() == 1 && !early && nullable_side) {
+        s->tables[last].local_predicates.push_back(c);
+        continue;
+      }
+      return Status::NotImplemented("ON condition ", c->ToString(), " of a ",
+                                    JoinTypeName(jt), " join");
+    }
+  }
+  if (s->all_inner) AddTransitivePredicates(s);
+  return Status::OK();
+}
+
+// ---- pass 2: access paths ---------------------------------------------------
+
+/// Pass 2: picks each table's projection and its scan units.
+Status ChooseAccessPaths(PlanState* s) {
+  Cluster* cluster = s->cluster;
+  const uint32_t num_nodes = cluster->num_nodes();
+  for (auto& slot : s->tables) {
+    auto candidates = cluster->catalog()->ProjectionsForTable(slot.def.name);
+    // Only super projections are candidates: they cover every column.
     const ProjectionDef* best = nullptr;
     int64_t best_score = INT64_MIN;
     for (const auto& p : candidates) {
       if (p.segmentation.node_offset != 0) continue;  // buddies join via units
-      if (p.IsPrejoin()) continue;
-      if (!p.is_super) continue;  // narrow projections need column analysis; a
-                                  // super always works — prefer it unless a
-                                  // narrow one scores higher below.
+      if (p.IsPrejoin() || !p.is_super) continue;
       int64_t score = 0;
       // Compression-aware I/O proxy: smaller stored footprint wins.
       uint64_t bytes = 0;
-      for (uint32_t n = 0; n < cluster_->num_nodes(); ++n) {
-        auto* ps = cluster_->node(n)->GetStorage(p.name);
+      for (uint32_t n = 0; n < num_nodes; ++n) {
+        auto* ps = cluster->node(n)->GetStorage(p.name);
         if (ps) bytes += ps->TotalRosBytes();
       }
       score -= static_cast<int64_t>(bytes / 1024);
@@ -320,11 +449,9 @@ Result<PhysicalPlan> Planner::PlanSelect(const SelectStmt& stmt,
         const std::string& first_sort = p.columns[p.sort_columns[0]].name;
         for (const auto& pred : slot.local_predicates) {
           if (pred->kind == ExprKind::kCompare &&
-              pred->children[0]->kind == ExprKind::kColumnRef) {
-            std::string bare = pred->children[0]->column_name;
-            auto dot = bare.rfind('.');
-            if (dot != std::string::npos) bare = bare.substr(dot + 1);
-            if (bare == first_sort) score += 1000000;
+              pred->children[0]->kind == ExprKind::kColumnRef &&
+              BareName(pred->children[0]->column_name) == first_sort) {
+            score += 1000000;
           }
         }
       }
@@ -336,128 +463,125 @@ Result<PhysicalPlan> Planner::PlanSelect(const SelectStmt& stmt,
     if (!best) return Status::Internal("no projection for table ", slot.def.name);
     slot.projection = *best;
 
-    // Scan units with buddy substitution: for every ring slot pick an up
-    // node among the projection family (replan-with-buddy, Section 6.2).
-    // A quarantined copy (persistent read failure / corruption, DESIGN.md
-    // §10) is as unusable as a down node: skip it and let a buddy serve
-    // the slot until re-recovery clears the flag.
+    // Scan units with buddy substitution (replan-with-buddy, Section 6.2):
+    // copies[u] lists the (host, storage) copies that can serve unit u — a
+    // replicated projection is one unit any node's copy serves, a segmented
+    // one has a unit per ring slot served by its family — and the first up
+    // copy serves it. A quarantined copy (persistent read failure or
+    // corruption, DESIGN.md §10) is as unusable as a down node: a buddy
+    // serves the slot until re-recovery clears the flag.
+    std::vector<std::vector<std::pair<uint32_t, ProjectionStorage*>>> copies;
     if (slot.projection.segmentation.replicated) {
+      copies.emplace_back();
+      for (uint32_t n = 0; n < num_nodes; ++n) {
+        copies[0].push_back({n, cluster->node(n)->GetStorage(slot.projection.name)});
+      }
+    } else {
+      std::vector<const ProjectionDef*> family = {&slot.projection};
+      for (const auto& p : candidates) {
+        if (p.buddy_of == slot.projection.name) family.push_back(&p);
+      }
+      for (uint32_t ring_slot = 0; ring_slot < num_nodes; ++ring_slot) {
+        copies.emplace_back();
+        for (const ProjectionDef* copy : family) {
+          uint32_t host = (ring_slot + copy->segmentation.node_offset) % num_nodes;
+          copies.back().push_back({host, cluster->node(host)->GetStorage(copy->name)});
+        }
+      }
+    }
+    for (size_t u = 0; u < copies.size(); ++u) {
+      ProjectionStorage* unit = nullptr;
+      uint32_t unit_host = 0;
       std::vector<ProjectionStorage*> alts;
-      for (uint32_t n = 0; n < cluster_->num_nodes(); ++n) {
-        auto* ps = cluster_->node(n)->GetStorage(slot.projection.name);
+      for (auto [host, ps] : copies[u]) {
         if (!ps) continue;
-        if (slot.units.empty() && cluster_->node(n)->up() && !ps->quarantined()) {
-          slot.units = {ps};
-          slot.unit_hosts = {n};
+        if (!unit && cluster->node(host)->up() && !ps->quarantined()) {
+          unit = ps;
+          unit_host = host;
         } else {
           alts.push_back(ps);
         }
       }
-      if (slot.units.empty())
-        return Status::ClusterUnavailable("no healthy copy of ",
-                                          slot.projection.name);
-      slot.unit_alts = {std::move(alts)};
-    } else {
-      std::vector<ProjectionDef> family = {slot.projection};
-      for (const auto& p : candidates) {
-        if (p.buddy_of == slot.projection.name) family.push_back(p);
+      if (!unit) {
+        return Status::ClusterUnavailable("data unavailable: no live copy of ",
+                                          slot.projection.name, " for ring slot ", u,
+                                          " (K-safety exhausted)");
       }
-      for (uint32_t ring_slot = 0; ring_slot < cluster_->num_nodes(); ++ring_slot) {
-        ProjectionStorage* unit = nullptr;
-        uint32_t unit_host = 0;
-        std::vector<ProjectionStorage*> alts;
-        for (const auto& copy : family) {
-          uint32_t host =
-              (ring_slot + copy.segmentation.node_offset) % cluster_->num_nodes();
-          auto* ps = cluster_->node(host)->GetStorage(copy.name);
-          if (!ps) continue;
-          if (!unit && cluster_->node(host)->up() && !ps->quarantined()) {
-            unit = ps;
-            unit_host = host;
-          } else {
-            alts.push_back(ps);
-          }
-        }
-        if (!unit) {
-          return Status::ClusterUnavailable(
-              "data unavailable: no live copy of ", slot.projection.name,
-              " for ring slot ", ring_slot, " (K-safety exhausted)");
-        }
-        slot.units.push_back(unit);
-        slot.unit_hosts.push_back(unit_host);
-        slot.unit_alts.push_back(std::move(alts));
-      }
+      slot.units.push_back(unit);
+      slot.unit_hosts.push_back(unit_host);
+      slot.unit_alts.push_back(std::move(alts));
     }
     slot.est_rows = 0;
     for (auto* ps : slot.units) slot.est_rows += ps->TotalRosRows() + ps->WosRowCount();
   }
+  return Status::OK();
+}
 
-  // ---- join order (StarOpt heuristic) ---------------------------------------
-  // Probe stream = largest table (the fact); inner/build sides joined in
-  // ascending size order, most selective dimensions first. Only pure-INNER
-  // plans are reordered.
-  std::vector<size_t> order(scope.tables.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  bool all_inner = true;
-  for (size_t t = 1; t < scope.tables.size(); ++t) {
-    all_inner &= scope.tables[t].join_type == JoinType::kInner;
+// ---- pass 3: join order -----------------------------------------------------
+
+/// Pass 3 (StarOpt heuristic): the probe stream is the largest table (the
+/// fact); build sides join in ascending size order, most selective
+/// dimensions first. Only pure-INNER plans are reordered.
+void OrderJoins(PlanState* s) {
+  const auto& tables = s->tables;
+  s->order.resize(tables.size());
+  for (size_t i = 0; i < tables.size(); ++i) s->order[i] = i;
+  if (!s->all_inner || tables.size() <= 1) return;
+  size_t fact = 0;
+  for (size_t t = 1; t < tables.size(); ++t) {
+    if (tables[t].est_rows > tables[fact].est_rows) fact = t;
   }
-  if (all_inner && scope.tables.size() > 1) {
-    size_t fact = 0;
-    for (size_t t = 1; t < scope.tables.size(); ++t) {
-      if (scope.tables[t].est_rows > scope.tables[fact].est_rows) fact = t;
-    }
-    std::vector<size_t> rest;
-    for (size_t t = 0; t < scope.tables.size(); ++t) {
-      if (t != fact) rest.push_back(t);
-    }
-    // Selectivity-first: tables with local predicates join earlier; size
-    // breaks ties.
-    std::stable_sort(rest.begin(), rest.end(), [&](size_t a, size_t b) {
-      size_t pa = scope.tables[a].local_predicates.size();
-      size_t pb = scope.tables[b].local_predicates.size();
-      if (pa != pb) return pa > pb;
-      return scope.tables[a].est_rows < scope.tables[b].est_rows;
-    });
-    order.clear();
-    order.push_back(fact);
-    // Greedy: append tables connected to the joined set first.
-    std::set<size_t> joined = {fact};
-    while (!rest.empty()) {
-      size_t pick = SIZE_MAX;
-      for (size_t i = 0; i < rest.size(); ++i) {
-        for (const auto& edge : edges) {
-          bool connects = (joined.count(edge.left_table) && edge.right_table == rest[i]) ||
-                          (joined.count(edge.right_table) && edge.left_table == rest[i]);
-          if (connects) {
-            pick = i;
-            break;
-          }
+  std::vector<size_t> rest;
+  for (size_t t = 0; t < tables.size(); ++t) {
+    if (t != fact) rest.push_back(t);
+  }
+  // Selectivity-first: tables with local predicates join earlier; size
+  // breaks ties.
+  std::stable_sort(rest.begin(), rest.end(), [&](size_t a, size_t b) {
+    size_t pa = tables[a].local_predicates.size();
+    size_t pb = tables[b].local_predicates.size();
+    if (pa != pb) return pa > pb;
+    return tables[a].est_rows < tables[b].est_rows;
+  });
+  s->order = {fact};
+  // Greedy: append tables connected to the joined set first.
+  std::set<size_t> joined = {fact};
+  while (!rest.empty()) {
+    size_t pick = SIZE_MAX;
+    for (size_t i = 0; i < rest.size() && pick == SIZE_MAX; ++i) {
+      for (const auto& edge : s->edges) {
+        if ((joined.count(edge.left_table) && edge.right_table == rest[i]) ||
+            (joined.count(edge.right_table) && edge.left_table == rest[i])) {
+          pick = i;
+          break;
         }
-        if (pick != SIZE_MAX) break;
       }
-      if (pick == SIZE_MAX) pick = 0;  // cross join fallback
-      joined.insert(rest[pick]);
-      order.push_back(rest[pick]);
-      rest.erase(rest.begin() + pick);
     }
+    if (pick == SIZE_MAX) pick = 0;  // cross join fallback
+    joined.insert(rest[pick]);
+    s->order.push_back(rest[pick]);
+    rest.erase(rest.begin() + pick);
   }
+}
 
-  // ---- column pruning (DESIGN.md §14) ---------------------------------------
-  // Each scan emits only the columns something above it reads: select items
-  // (SELECT * keeps every column), GROUP BY and aggregate arguments (HAVING
-  // binds to the aggregates), window partition/order/argument columns, join
-  // keys and residual predicates — plus the columns of its own pushed-down
-  // predicate, because the scan's predicate, SIP probe columns and prune
-  // bounds are all bound in its output space. ORDER BY binds to the output
-  // columns, so it adds nothing.
-  std::vector<std::vector<char>> referenced(scope.tables.size());
-  for (size_t t = 0; t < scope.tables.size(); ++t) {
-    referenced[t].assign(scope.tables[t].def.columns.size(), 0);
+// ---- pass 4: column pruning -------------------------------------------------
+
+/// Pass 4 (DESIGN.md §14): each scan emits only the columns something above
+/// it reads: select items (SELECT * keeps every column), GROUP BY and
+/// aggregate arguments (HAVING binds to the aggregates), window
+/// partition/order/argument columns, join keys and residual predicates —
+/// plus the columns of its own pushed-down predicate, because the scan's
+/// predicate, SIP probe columns and prune bounds are all bound in its
+/// output space. ORDER BY binds to the output columns, so it adds nothing.
+Status PruneColumns(PlanState* s) {
+  const SelectStmt& stmt = s->stmt;
+  std::vector<std::vector<char>> referenced(s->tables.size());
+  for (size_t t = 0; t < s->tables.size(); ++t) {
+    referenced[t].assign(s->tables[t].def.columns.size(), 0);
   }
   auto reference_col = [&](int combined_col) {
-    size_t t = table_of_column(combined_col);
-    referenced[t][combined_col - scope.tables[t].schema_offset] = 1;
+    size_t t = s->TableOf(combined_col);
+    referenced[t][combined_col - s->tables[t].schema_offset] = 1;
   };
   auto reference_bound = [&](const Expr& e) {
     std::vector<int> cols;
@@ -467,7 +591,7 @@ Result<PhysicalPlan> Planner::PlanSelect(const SelectStmt& stmt,
   auto reference = [&](const ExprPtr& e) -> Status {
     if (!e) return Status::OK();
     ExprPtr bound_expr = CloneUnbound(e);
-    STRATICA_RETURN_NOT_OK(BindExpr(bound_expr, scope.schema));
+    STRATICA_RETURN_NOT_OK(BindExpr(bound_expr, s->schema));
     reference_bound(*bound_expr);
     return Status::OK();
   };
@@ -493,23 +617,21 @@ Result<PhysicalPlan> Planner::PlanSelect(const SelectStmt& stmt,
   }
   for (const auto& g : stmt.group_by) STRATICA_RETURN_NOT_OK(reference(g));
   for (const auto& call : stmt.having_aggs) STRATICA_RETURN_NOT_OK(reference(call.arg));
-  for (const auto& edge : edges) {
+  for (const auto& edge : s->edges) {
     for (int c : edge.left_cols) reference_col(c);
     for (int c : edge.right_cols) reference_col(c);
   }
-  for (const auto& r : residuals) reference_bound(*r);
-  for (const auto& slot : scope.tables) {
+  for (const auto& r : s->residuals) reference_bound(*r);
+  for (const auto& slot : s->tables) {
     for (const auto& pred : slot.local_predicates) reference_bound(*pred);
   }
-  // kept[t]: table-column indexes scan t emits, ascending; scan_pos[t] maps
-  // a table column to its scan-output index (-1 = pruned). A scan whose
-  // table nothing references (COUNT(*) without WHERE) still emits one
-  // column, the projection's first sort column, because a block with no
-  // columns has no rows.
-  std::vector<std::vector<int>> kept(scope.tables.size());
-  std::vector<std::vector<int>> scan_pos(scope.tables.size());
-  for (size_t t = 0; t < scope.tables.size(); ++t) {
-    const TableSlot& slot = scope.tables[t];
+  // A scan whose table nothing references (COUNT(*) without WHERE) still
+  // emits one column, the projection's first sort column, because a block
+  // with no columns has no rows.
+  s->kept.assign(s->tables.size(), {});
+  s->scan_pos.assign(s->tables.size(), {});
+  for (size_t t = 0; t < s->tables.size(); ++t) {
+    const TableSlot& slot = s->tables[t];
     if (std::find(referenced[t].begin(), referenced[t].end(), 1) == referenced[t].end()) {
       int first = 0;
       if (!slot.projection.sort_columns.empty()) {
@@ -521,57 +643,43 @@ Result<PhysicalPlan> Planner::PlanSelect(const SelectStmt& stmt,
       }
       referenced[t][first] = 1;
     }
-    scan_pos[t].assign(slot.def.columns.size(), -1);
+    s->scan_pos[t].assign(slot.def.columns.size(), -1);
     for (size_t c = 0; c < slot.def.columns.size(); ++c) {
       if (!referenced[t][c]) continue;
-      scan_pos[t][c] = static_cast<int>(kept[t].size());
-      kept[t].push_back(static_cast<int>(c));
+      s->scan_pos[t][c] = static_cast<int>(s->kept[t].size());
+      s->kept[t].push_back(static_cast<int>(c));
     }
   }
-  // Scan-output index of a combined-schema column (its table keeps it).
-  auto scan_pos_of = [&](int combined_col) -> int {
-    size_t t = table_of_column(combined_col);
-    return scan_pos[t][combined_col - scope.tables[t].schema_offset];
-  };
+  return Status::OK();
+}
 
-  // ---- build scan specs ------------------------------------------------------
-  // The stream schema after all joins: each table's kept columns, in join
-  // order.
-  BindSchema stream_schema;
-  for (size_t oi : order) {
-    const TableSlot& slot = scope.tables[oi];
-    for (int c : kept[oi]) {
-      stream_schema.Add(slot.alias + "." + slot.def.columns[c].name,
-                        slot.def.columns[c].type);
+// ---- pass 5: scan specs -----------------------------------------------------
+
+/// Pass 5: one scan template per table — its kept columns in table order
+/// (projection columns mapped to table order) with its local predicates
+/// pushed down as a filter and min/max prune bounds — and the stream schema.
+Status BuildScanSpecs(PlanState* s) {
+  for (size_t oi : s->order) {
+    const TableSlot& slot = s->tables[oi];
+    for (int c : s->kept[oi]) {
+      s->stream_schema.Add(slot.alias + "." + slot.def.columns[c].name,
+                           slot.def.columns[c].type);
     }
   }
-  auto rebind_to_stream = [&](const ExprPtr& e) -> Result<ExprPtr> {
-    ExprPtr copy = CloneUnbound(e);
-    STRATICA_RETURN_NOT_OK(BindExpr(copy, stream_schema));
-    return copy;
-  };
-
-  struct TablePlan {
-    ScanSpec spec;                      // per-unit template
-    std::vector<std::shared_ptr<SipFilter>> sips;  // attached later
-  };
-  std::vector<TablePlan> table_plans(scope.tables.size());
-  for (size_t t = 0; t < scope.tables.size(); ++t) {
-    TableSlot& slot = scope.tables[t];
-    TablePlan& tp = table_plans[t];
-    // Scan outputs the kept columns in table order (projection order mapped
-    // to table order); every index above the scan goes through scan_pos.
+  s->scans.resize(s->tables.size());
+  for (size_t t = 0; t < s->tables.size(); ++t) {
+    const TableSlot& slot = s->tables[t];
+    ScanSpec& spec = s->scans[t];
     BindSchema scan_schema;
-    for (int c : kept[t]) {
+    for (int c : s->kept[t]) {
       const ColumnDef& col = slot.def.columns[c];
       int proj_col = slot.projection.FindColumn(col.name);
       if (proj_col < 0) return Status::Internal("projection misses column ", col.name);
-      tp.spec.projection_columns.push_back(proj_col);
-      tp.spec.output_names.push_back(slot.alias + "." + col.name);
-      tp.spec.output_types.push_back(col.type);
+      spec.projection_columns.push_back(proj_col);
+      spec.output_names.push_back(slot.alias + "." + col.name);
+      spec.output_types.push_back(col.type);
       scan_schema.Add(slot.alias + "." + col.name, col.type);
     }
-    // Push local predicates into the scan, extracting prune bounds.
     std::vector<ExprPtr> scan_preds;
     for (const auto& pred : slot.local_predicates) {
       ExprPtr local = CloneUnbound(pred);
@@ -580,230 +688,197 @@ Result<PhysicalPlan> Planner::PlanSelect(const SelectStmt& stmt,
       if (local->kind == ExprKind::kCompare &&
           local->children[0]->kind == ExprKind::kColumnRef &&
           local->children[1]->kind == ExprKind::kLiteral) {
-        tp.spec.prune_bounds.push_back({local->children[0]->column_index, local->cmp,
-                                        local->children[1]->literal});
+        spec.prune_bounds.push_back({local->children[0]->column_index, local->cmp,
+                                     local->children[1]->literal});
       }
     }
-    tp.spec.predicate = CombineConjuncts(scan_preds);
+    spec.predicate = CombineConjuncts(scan_preds);
   }
+  return Status::OK();
+}
 
-  size_t fact = order[0];
+// ---- pass 6: joins ----------------------------------------------------------
 
-  // ---- per-unit pipelines -----------------------------------------------------
-  // Co-location: a join is fully local when both sides have the same number
-  // of units and the build side is replicated, or both are segmented by
-  // HASH of exactly their join keys with equal ring offsets.
-  size_t num_units = scope.tables[fact].units.size();
-  auto seg_matches_keys = [&](const TableSlot& slot,
-                              const std::vector<int>& key_cols) {
-    if (slot.projection.segmentation.replicated) return false;
-    const ExprPtr& seg = slot.projection.segmentation.expr;
-    if (!seg || seg->kind != ExprKind::kFunc || seg->func != FuncKind::kHash)
+/// Makes one unit's operator tree on `storage`; `primary` is false for a
+/// hedge or failover rebuild.
+using UnitBuilder =
+    std::function<Result<OperatorPtr>(ProjectionStorage* storage, bool primary, size_t u)>;
+
+/// The exchange producer for `slot`'s unit u: the tree `build` makes on the
+/// unit's storage, its host for error context, and a rebuild recipe that
+/// re-issues it on the first healthy buddy copy when the leg straggles or
+/// its host dies mid-query.
+Result<ExchangeProducerSpec> UnitProducer(const TableSlot& slot, size_t u,
+                                          const char* leg, UnitBuilder build) {
+  ExchangeProducerSpec spec;
+  STRATICA_ASSIGN_OR_RETURN(spec.op, build(slot.units[u], /*primary=*/true, u));
+  spec.origin = "node" + std::to_string(slot.unit_hosts[u]);
+  spec.rebuild = [build, alts = slot.unit_alts[u], leg, u]() -> Result<OperatorPtr> {
+    for (auto* ps : alts) {
+      if (!ps->HostUp() || ps->quarantined()) continue;
+      return build(ps, /*primary=*/false, u);
+    }
+    return Status::ClusterUnavailable("no healthy buddy for ", leg, " ", u,
+                                      " (K-safety exhausted)");
+  };
+  return spec;
+}
+
+/// One producer runs in place; more are gathered by a union exchange.
+OperatorPtr Gather(std::vector<ExchangeProducerSpec> producers) {
+  if (producers.size() == 1) return std::move(producers[0].op);
+  return MakeUnionExchange(std::move(producers), "Recv", /*count_network=*/true);
+}
+
+/// The columns (bare names) of a HASH segmentation, in order; empty for a
+/// replicated projection or any other segmentation expression.
+std::vector<std::string> HashColumns(const ProjectionDef& p) {
+  const ExprPtr& seg = p.segmentation.expr;
+  if (p.segmentation.replicated || !seg || seg->kind != ExprKind::kFunc ||
+      seg->func != FuncKind::kHash) {
+    return {};
+  }
+  std::vector<std::string> cols;
+  for (const auto& ch : seg->children) {
+    if (ch->kind != ExprKind::kColumnRef) return {};
+    cols.push_back(BareName(ch->column_name));
+  }
+  return cols;
+}
+
+/// Co-location: the stream is partitioned by the fact's segmentation, so
+/// unit u of table t holds every key unit u of the stream can match when t
+/// is replicated, or when the fact and t are segmented by HASH of exactly
+/// their sides of the edge between them, pair by pair, over the same units
+/// and ring offset.
+bool Colocated(const PlanState& s, size_t t, const std::vector<int>* fact_cols,
+               const std::vector<int>* t_cols) {
+  const ProjectionDef& fp = s.tables[s.fact()].projection;
+  const ProjectionDef& tp = s.tables[t].projection;
+  if (tp.segmentation.replicated) return true;
+  if (!fact_cols || s.tables[t].units.size() != s.tables[s.fact()].units.size() ||
+      tp.segmentation.node_offset != fp.segmentation.node_offset) {
+    return false;
+  }
+  std::vector<std::string> fseg = HashColumns(fp), tseg = HashColumns(tp);
+  if (fseg.empty() || fseg.size() != fact_cols->size() || tseg.size() != fseg.size())
+    return false;
+  for (size_t i = 0; i < fseg.size(); ++i) {
+    size_t k = 0;
+    while (k < fact_cols->size() && BareName(s.schema.names[(*fact_cols)[k]]) != fseg[i]) ++k;
+    if (k == fact_cols->size() || BareName(s.schema.names[(*t_cols)[k]]) != tseg[i])
       return false;
-    if (seg->children.size() != key_cols.size()) return false;
-    std::set<std::string> seg_cols, join_cols;
-    for (const auto& ch : seg->children) {
-      if (ch->kind != ExprKind::kColumnRef) return false;
-      std::string bare = ch->column_name;
-      auto dot = bare.rfind('.');
-      if (dot != std::string::npos) bare = bare.substr(dot + 1);
-      seg_cols.insert(bare);
-    }
-    for (int c : key_cols) {
-      std::string bare = scope.schema.names[c];
-      auto dot = bare.rfind('.');
-      if (dot != std::string::npos) bare = bare.substr(dot + 1);
-      join_cols.insert(bare);
-    }
-    return seg_cols == join_cols;
-  };
-
-  // Pre-create broadcast states for non-co-located build sides.
-  std::vector<std::shared_ptr<BroadcastState>> broadcasts(scope.tables.size());
-  std::vector<bool> colocated(scope.tables.size(), false);
-  for (size_t j = 1; j < order.size(); ++j) {
-    size_t t = order[j];
-    const JoinEdge* edge = nullptr;
-    for (const auto& e : edges) {
-      if ((e.left_table == t && order[0] == e.right_table) ||
-          (e.right_table == t && order[0] == e.left_table) ||
-          e.left_table == t || e.right_table == t) {
-        edge = &e;
-        break;
-      }
-    }
-    bool replicated = scope.tables[t].projection.segmentation.replicated;
-    bool both_segmented_alike = false;
-    if (edge && !replicated &&
-        scope.tables[t].units.size() == num_units) {
-      const auto& t_cols = edge->left_table == t ? edge->left_cols : edge->right_cols;
-      size_t o = edge->left_table == t ? edge->right_table : edge->left_table;
-      const auto& o_cols = edge->left_table == t ? edge->right_cols : edge->left_cols;
-      both_segmented_alike = seg_matches_keys(scope.tables[t], t_cols) &&
-                             seg_matches_keys(scope.tables[o], o_cols) &&
-                             scope.tables[t].unit_offset == scope.tables[o].unit_offset;
-    }
-    colocated[t] = replicated || both_segmented_alike;
-    if (!colocated[t]) {
-      // Gather the build side once; every unit replays it (broadcast). Each
-      // gather leg carries its host for error context plus a rebuild recipe
-      // so a straggling or dead leg re-issues against a buddy copy.
-      std::vector<ExchangeProducerSpec> scans;
-      const TableSlot& tslot = scope.tables[t];
-      for (size_t i = 0; i < tslot.units.size(); ++i) {
-        ScanSpec s = table_plans[t].spec;
-        s.storage = tslot.units[i];
-        ExchangeProducerSpec spec;
-        spec.op = std::make_unique<ScanOperator>(s);
-        spec.origin = "node" + std::to_string(tslot.unit_hosts[i]);
-        spec.rebuild = [tmpl = table_plans[t].spec,
-                        alts = tslot.unit_alts[i], i]() -> Result<OperatorPtr> {
-          for (auto* ps : alts) {
-            if (!ps->HostUp() || ps->quarantined()) continue;
-            ScanSpec rs = tmpl;
-            rs.storage = ps;
-            return OperatorPtr(std::make_unique<ScanOperator>(rs));
-          }
-          return Status::ClusterUnavailable(
-              "no healthy buddy for broadcast leg ", i, " (K-safety exhausted)");
-        };
-        scans.push_back(std::move(spec));
-      }
-      OperatorPtr gathered = scans.size() == 1
-                                 ? std::move(scans[0].op)
-                                 : MakeUnionExchange(std::move(scans), "Recv", true);
-      broadcasts[t] = std::make_shared<BroadcastState>(std::move(gathered));
-    }
   }
+  return true;
+}
 
-  // ---- SIP filters -----------------------------------------------------------
-  // The fact (first in join order) scans everything; joins against later
-  // tables install SIP filters on it when the join type filters probe rows.
-  // A filter is shared by every unit's fact scan and filled from unit 0's
-  // build, so a join co-located by segmentation — whose unit 0 build holds
-  // only that segment's keys — gets none.
-  for (size_t j = 1; j < order.size(); ++j) {
-    size_t t = order[j];
-    JoinType jt = scope.tables[t].join_type;
-    if (jt != JoinType::kInner && jt != JoinType::kSemi) continue;
-    if (colocated[t] && !scope.tables[t].projection.segmentation.replicated) continue;
-    for (const auto& edge : edges) {
-      size_t other = SIZE_MAX;
-      const std::vector<int>* fact_cols = nullptr;
-      if (edge.left_table == fact && edge.right_table == t) {
-        other = t;
-        fact_cols = &edge.left_cols;
-      } else if (edge.right_table == fact && edge.left_table == t) {
-        other = t;
-        fact_cols = &edge.right_cols;
-      }
-      if (other == SIZE_MAX) continue;
-      auto sip = std::make_shared<SipFilter>();
-      for (int c : *fact_cols) sip->probe_columns.push_back(scan_pos_of(c));
-      table_plans[fact].spec.sips.push_back(sip);
-      table_plans[t].sips.push_back(sip);  // the join for table t fills it
+/// Pass 6: one join step per table after the fact. A single pass over the
+/// edges gives the step's keys (from every edge to a table already in the
+/// stream) and its edge to the fact, which decides co-location and the SIP
+/// filter. A build side that is not co-located is gathered once and
+/// replayed by every unit (broadcast).
+Status PlanJoins(PlanState* s) {
+  const size_t fact = s->fact();
+  std::vector<size_t> joined = {fact};
+  // Stream position of a combined-schema column of a joined table.
+  auto stream_pos = [&](int col) -> int {
+    size_t owner = s->TableOf(col);
+    int pos = 0;
+    for (size_t oi : joined) {
+      if (oi == owner) return pos + s->ScanPos(col);
+      pos += static_cast<int>(s->kept[oi].size());
     }
-  }
-
-  // ---- per-unit pipeline builder ---------------------------------------------
-  // Join keys depend only on the join order, not the unit, so the join steps
-  // are computed once; only the SIP attachment, the colocated build unit and
-  // the fact storage vary per pipeline. Everything the builder needs is
-  // captured by value so exchange hedging can re-invoke it mid-query to
-  // construct a replacement pipeline against a buddy copy of the fact unit.
-  struct JoinStep {
-    JoinSpec jspec;                               // without sip
-    std::shared_ptr<SipFilter> sip;               // primary of unit 0 populates
-    bool colocated = false;
-    ScanSpec build_spec;                          // colocated: per-unit scan
-    std::vector<ProjectionStorage*> build_units;  //   "
-    std::shared_ptr<BroadcastState> broadcast;    // else: shared materialization
+    return -1;
   };
-  auto steps = std::make_shared<std::vector<JoinStep>>();
-  {
-    std::vector<size_t> joined_order = {fact};
-    for (size_t j = 1; j < order.size(); ++j) {
-      size_t t = order[j];
-      // Join keys between the current stream and table t.
-      JoinStep step;
-      step.jspec.type = scope.tables[t].join_type;
-      auto stream_pos_of = [&](int combined_col) -> int {
-        size_t owner = table_of_column(combined_col);
-        int pos = 0;
-        for (size_t oi : joined_order) {
-          if (oi == owner) return pos + scan_pos_of(combined_col);
-          pos += static_cast<int>(kept[oi].size());
-        }
-        return -1;
+  for (size_t j = 1; j < s->order.size(); ++j) {
+    const size_t t = s->order[j];
+    const TableSlot& slot = s->tables[t];
+    JoinStep step;
+    step.jspec.type = slot.join_type;
+    const std::vector<int>* fact_cols = nullptr;
+    const std::vector<int>* t_fact_cols = nullptr;
+    for (const auto& edge : s->edges) {
+      bool t_left = edge.left_table == t;
+      if (!t_left && edge.right_table != t) continue;
+      size_t other = t_left ? edge.right_table : edge.left_table;
+      if (std::find(joined.begin(), joined.end(), other) == joined.end()) continue;
+      const auto& t_cols = t_left ? edge.left_cols : edge.right_cols;
+      const auto& o_cols = t_left ? edge.right_cols : edge.left_cols;
+      for (size_t k = 0; k < o_cols.size(); ++k) {
+        step.jspec.probe_keys.push_back(static_cast<uint32_t>(stream_pos(o_cols[k])));
+        step.jspec.build_keys.push_back(static_cast<uint32_t>(s->ScanPos(t_cols[k])));
+      }
+      if (other == fact) {
+        fact_cols = &o_cols;
+        t_fact_cols = &t_cols;
+      }
+    }
+    if (step.jspec.probe_keys.empty())
+      return Status::NotImplemented("cross joins without predicates");
+    step.colocated = Colocated(*s, t, fact_cols, t_fact_cols);
+    // SIP: joins that filter probe rows install a filter on the fact scan,
+    // shared by every unit's fact scan and filled from unit 0's build — so
+    // a join co-located by segmentation, whose unit 0 build holds only that
+    // segment's keys, gets none.
+    bool filters = step.jspec.type == JoinType::kInner || step.jspec.type == JoinType::kSemi;
+    if (fact_cols && filters && (!step.colocated || slot.projection.segmentation.replicated)) {
+      step.sip = std::make_shared<SipFilter>();
+      for (int c : *fact_cols) step.sip->probe_columns.push_back(s->ScanPos(c));
+      s->scans[fact].sips.push_back(step.sip);
+    }
+    if (step.colocated) {
+      step.build_spec = s->scans[t];
+      step.build_units = slot.units;
+    } else {
+      std::vector<ExchangeProducerSpec> legs;
+      UnitBuilder scan = [tmpl = s->scans[t]](ProjectionStorage* ps, bool,
+                                              size_t) -> Result<OperatorPtr> {
+        ScanSpec spec = tmpl;
+        spec.storage = ps;
+        return OperatorPtr(std::make_unique<ScanOperator>(spec));
       };
-      for (const auto& edge : edges) {
-        const std::vector<int>* probe_side = nullptr;
-        const std::vector<int>* build_side = nullptr;
-        if (edge.right_table == t &&
-            std::find(joined_order.begin(), joined_order.end(), edge.left_table) !=
-                joined_order.end()) {
-          probe_side = &edge.left_cols;
-          build_side = &edge.right_cols;
-        } else if (edge.left_table == t &&
-                   std::find(joined_order.begin(), joined_order.end(),
-                             edge.right_table) != joined_order.end()) {
-          probe_side = &edge.right_cols;
-          build_side = &edge.left_cols;
-        }
-        if (!probe_side) continue;
-        for (size_t k = 0; k < probe_side->size(); ++k) {
-          step.jspec.probe_keys.push_back(
-              static_cast<uint32_t>(stream_pos_of((*probe_side)[k])));
-          step.jspec.build_keys.push_back(
-              static_cast<uint32_t>(scan_pos_of((*build_side)[k])));
-        }
+      for (size_t i = 0; i < slot.units.size(); ++i) {
+        STRATICA_ASSIGN_OR_RETURN(ExchangeProducerSpec leg,
+                                  UnitProducer(slot, i, "broadcast leg", scan));
+        legs.push_back(std::move(leg));
       }
-      if (step.jspec.probe_keys.empty() && order.size() > 1)
-        return Status::NotImplemented("cross joins without predicates");
-      // SIP: one filter slot per (fact,t) edge was pre-created.
-      if (!table_plans[t].sips.empty()) step.sip = table_plans[t].sips[0];
-      step.colocated = colocated[t];
-      if (step.colocated) {
-        step.build_spec = table_plans[t].spec;
-        step.build_units = scope.tables[t].units;
-      } else {
-        step.broadcast = broadcasts[t];
-      }
-      steps->push_back(std::move(step));
-      joined_order.push_back(t);
+      step.broadcast = std::make_shared<BroadcastState>(Gather(std::move(legs)));
     }
+    s->steps->push_back(std::move(step));
+    joined.push_back(t);
   }
   // Residual predicates (multi-table non-equi) are unit-independent: bind
   // them once and share the expression, as per-unit scans already do for
   // predicates and SIPs.
-  ExprPtr residual_expr;
-  if (!residuals.empty()) {
-    std::vector<ExprPtr> rebound;
-    for (const auto& r : residuals) {
-      STRATICA_ASSIGN_OR_RETURN(ExprPtr e, rebind_to_stream(r));
-      rebound.push_back(e);
-    }
-    residual_expr = CombineConjuncts(rebound);
+  std::vector<ExprPtr> rebound;
+  for (const auto& r : s->residuals) {
+    STRATICA_ASSIGN_OR_RETURN(ExprPtr e, s->RebindToStream(r));
+    rebound.push_back(e);
   }
-  // ---- sort elimination (Section 6.2) ----------------------------------------
-  // A single-table, single-unit SELECT whose ORDER BY is an ascending prefix
-  // of the chosen projection's sort order reads pre-sorted storage: the scan
-  // is planned order-carrying (sorted_output + merge across containers) and
-  // the SortOperator is dropped. Restricted to one scan unit because a
-  // union or exchange over several pipelines loses the order; the fan-out
-  // gate below then records the morsel bypass this shape causes.
-  bool sort_eliminated = false;
-  if (!stmt.order_by.empty() && steps->empty() && scope.tables.size() == 1 &&
-      num_units == 1 && !stmt.distinct && stmt.group_by.empty() &&
-      stmt.having_aggs.empty()) {
-    bool plain_select = true;
-    for (const auto& item : stmt.items) {
-      plain_select &= item.kind == SelectItem::Kind::kStar ||
-                      item.kind == SelectItem::Kind::kExpr;
-    }
-    const TableSlot& fslot = scope.tables[fact];
-    ScanSpec& ft = table_plans[fact].spec;
-    bool ok = plain_select && stmt.order_by.size() <= fslot.projection.sort_columns.size();
+  s->residual_expr = CombineConjuncts(rebound);
+  return Status::OK();
+}
+
+// ---- pass 7: physical properties --------------------------------------------
+
+/// Pass 7: the fact scan's order, encoding and fan-out, in that order.
+void ChoosePhysicalProperties(PlanState* s, size_t intra_node_parallelism) {
+  const SelectStmt& stmt = s->stmt;
+  const TableSlot& fslot = s->tables[s->fact()];
+  ScanSpec& ft = s->scans[s->fact()];
+  const size_t num_units = fslot.units.size();
+
+  // Sort elimination (Section 6.2): a single-table, single-unit SELECT
+  // whose ORDER BY is an ascending prefix of the chosen projection's sort
+  // order reads pre-sorted storage: the scan is planned order-carrying
+  // (sorted_output + merge across containers) and the SortOperator is
+  // dropped. Restricted to one scan unit because a union or exchange over
+  // several pipelines loses the order; the fan-out gate below then records
+  // the morsel bypass this shape causes.
+  if (!stmt.order_by.empty() && s->tables.size() == 1 && num_units == 1 &&
+      !stmt.distinct && !s->has_aggs && !s->has_windows &&
+      stmt.order_by.size() <= fslot.projection.sort_columns.size()) {
+    bool ok = true;
     std::vector<uint32_t> key_outputs;
     for (size_t j = 0; ok && j < stmt.order_by.size(); ++j) {
       const auto& [oe, desc] = stmt.order_by[j];
@@ -830,7 +905,7 @@ Result<PhysicalPlan> Planner::PlanSelect(const SelectStmt& stmt,
         ok = false;
         break;
       }
-      auto bound = rebind_to_stream(key);
+      auto bound = s->RebindToStream(key);
       if (!bound.ok() || bound.value()->kind != ExprKind::kColumnRef) {
         ok = false;
         break;
@@ -843,65 +918,60 @@ Result<PhysicalPlan> Planner::PlanSelect(const SelectStmt& stmt,
     if (ok) {
       ft.sorted_output = true;
       ft.sort_key_outputs = std::move(key_outputs);
-      sort_eliminated = true;
+      s->sort_eliminated = true;
     }
   }
 
-  // ---- intra-node fan-out gate (DESIGN.md §12) -------------------------------
-  // A unit pipeline splits into `fanout` morsel-driven fragments when the
-  // fact is big enough to amortize the extra pipelines and nothing in the
-  // plan needs what fragments cannot give: an order-carrying scan
-  // (sorted_output) would interleave arbitrarily under the ParallelUnion,
-  // and RIGHT/FULL joins must emit unmatched build rows exactly once,
-  // which a build shared across fragments cannot.
-  size_t fanout = intra_node_parallelism == 0 ? 1 : intra_node_parallelism;
-  bool morsel_bypass = false;
-  if (fanout > 1) {
+  // Compressed execution (DESIGN.md §13): emit encoded-or-decoded views
+  // from the fact scan when every consumer in the chain is encoded-aware:
+  // single-table aggregation stacks (ExprEval passthrough → Filter →
+  // GroupBy all consume runs/codes directly). Joins, window functions and
+  // plain row-returning SELECTs keep decoded scans — their consumers want
+  // flat vectors. ExecContext::decode_first overrides the choice at run
+  // time, so the decode-first reference needs no replan.
+  if (s->has_aggs && !s->has_windows && s->steps->empty() && !ft.sorted_output) {
+    ft.encoded_output = true;
+  }
+
+  // Intra-node fan-out gate (DESIGN.md §12): a unit pipeline splits into
+  // `fanout` morsel-driven fragments when the fact is big enough to
+  // amortize the extra pipelines and nothing in the plan needs what
+  // fragments cannot give: an order-carrying scan (sorted_output) would
+  // interleave arbitrarily under the ParallelUnion, and RIGHT/FULL joins
+  // must emit unmatched build rows exactly once, which a build shared
+  // across fragments cannot.
+  s->fanout = intra_node_parallelism == 0 ? 1 : intra_node_parallelism;
+  if (s->fanout > 1) {
     constexpr uint64_t kMinParallelRowsPerUnit = 32768;
-    bool ok = scope.tables[fact].est_rows >=
-              kMinParallelRowsPerUnit * std::max<size_t>(num_units, 1);
+    bool ok = fslot.est_rows >= kMinParallelRowsPerUnit * std::max<size_t>(num_units, 1);
     // Order-carrying scans are planned serial *explicitly* and recorded
     // (PhysicalPlan::morsel_bypass → ExecStats::morsel_bypasses), not
     // silently dropped, so fan-out accounting stays honest.
-    bool order_carrying = table_plans[fact].spec.sorted_output;
-    if (ok && order_carrying) morsel_bypass = true;
-    ok &= !order_carrying;
-    for (const auto& step : *steps) {
-      ok &= step.jspec.type != JoinType::kRight &&
-            step.jspec.type != JoinType::kFull;
+    if (ok && ft.sorted_output) s->morsel_bypass = true;
+    ok &= !ft.sorted_output;
+    for (const auto& step : *s->steps) {
+      ok &= step.jspec.type != JoinType::kRight && step.jspec.type != JoinType::kFull;
     }
-    if (!ok) fanout = 1;
+    if (!ok) s->fanout = 1;
   }
+}
 
-  // ---- compressed execution (DESIGN.md §13) ----------------------------------
-  // Emit encoded-or-decoded views from the fact scan when every consumer in
-  // the chain is encoded-aware: single-table aggregation stacks (ExprEval
-  // passthrough → Filter → GroupBy all consume runs/codes directly). Joins,
-  // window functions and plain row-returning SELECTs keep decoded scans —
-  // their consumers want flat vectors. ExecContext::decode_first overrides
-  // the choice at run time, so the decode-first reference needs no replan.
-  {
-    bool agg_query = !stmt.group_by.empty() || !stmt.having_aggs.empty();
-    bool window_query = false;
-    for (const auto& item : stmt.items) {
-      agg_query |= item.kind == SelectItem::Kind::kAgg;
-      window_query |= item.kind == SelectItem::Kind::kWindow;
-    }
-    ScanSpec& ft = table_plans[fact].spec;
-    if (agg_query && !window_query && steps->empty() && !ft.sorted_output) {
-      ft.encoded_output = true;
-    }
-  }
+// ---- pass 8: lowering -------------------------------------------------------
 
-  // Applied to every fragment of a unit (serial plans: the one pipeline), so
-  // per-fragment work — expression eval, partial aggregation — runs inside
-  // the fragment, below the ParallelUnion, and fans out with the scan.
-  using FragmentFinisher = std::function<Result<OperatorPtr>(OperatorPtr)>;
+/// Applied to every fragment of a unit (serial plans: the one pipeline), so
+/// per-fragment work — expression eval, partial aggregation — runs inside
+/// the fragment, below the ParallelUnion, and fans out with the scan.
+using FragmentFinisher = std::function<Result<OperatorPtr>(OperatorPtr)>;
 
-  auto build_unit_pipeline =
-      [steps, fact_template = table_plans[fact].spec, residual_expr, fanout](
-          ProjectionStorage* fact_storage, bool primary, size_t u,
-          const FragmentFinisher& finish) -> Result<OperatorPtr> {
+/// Every fact unit's pipeline — fact scan, join steps, residual filter and
+/// then `finish` (if any) per fragment — gathered at the initiator. Each
+/// pipeline captures what it needs by value, so exchange hedging can
+/// rebuild it mid-query against a buddy copy of the fact unit.
+Result<OperatorPtr> GatherUnitPipelines(const PlanState& s, FragmentFinisher finish) {
+  UnitBuilder build_unit_pipeline =
+      [steps = s.steps, fact_template = s.scans[s.fact()], residual_expr = s.residual_expr,
+       fanout = s.fanout, finish](ProjectionStorage* fact_storage, bool primary,
+                                  size_t u) -> Result<OperatorPtr> {
     // Build side of one join step for this unit: a scan of the colocated
     // build unit, or this unit's consumer of the broadcast.
     auto make_build_side = [primary, u](const JoinStep& step) -> OperatorPtr {
@@ -956,6 +1026,7 @@ Result<PhysicalPlan> Planner::PlanSelect(const SelectStmt& stmt,
       if (residual_expr) {
         stream = std::make_unique<FilterOperator>(std::move(stream), residual_expr);
       }
+      if (!finish) return OperatorPtr(std::move(stream));
       return finish(std::move(stream));
     };
     if (fanout <= 1) return build_fragment(0);
@@ -967,279 +1038,233 @@ Result<PhysicalPlan> Planner::PlanSelect(const SelectStmt& stmt,
     return OperatorPtr(MakeUnionExchange(std::move(fragments), "ParallelUnion",
                                          /*count_network=*/false));
   };
-  // One exchange producer per fact unit: origin for error context, rebuild
-  // recipe (first healthy buddy copy at hedge time) for stragglers and
-  // mid-query node death.
-  auto make_unit_specs =
-      [&](const std::function<Result<OperatorPtr>(ProjectionStorage*, bool, size_t)>&
-              build) -> Result<std::vector<ExchangeProducerSpec>> {
-    std::vector<ExchangeProducerSpec> specs;
-    const TableSlot& fslot = scope.tables[fact];
-    for (size_t u = 0; u < num_units; ++u) {
-      ExchangeProducerSpec spec;
-      STRATICA_ASSIGN_OR_RETURN(spec.op, build(fslot.units[u], true, u));
-      spec.origin = "node" + std::to_string(fslot.unit_hosts[u]);
-      spec.rebuild = [build, alts = fslot.unit_alts[u], u]() -> Result<OperatorPtr> {
-        for (auto* ps : alts) {
-          if (!ps->HostUp() || ps->quarantined()) continue;
-          return build(ps, false, u);
-        }
-        return Status::ClusterUnavailable("no healthy buddy for exchange partition ",
-                                          u, " (K-safety exhausted)");
-      };
-      specs.push_back(std::move(spec));
+  const TableSlot& fslot = s.tables[s.fact()];
+  std::vector<ExchangeProducerSpec> producers;
+  for (size_t u = 0; u < fslot.units.size(); ++u) {
+    STRATICA_ASSIGN_OR_RETURN(
+        ExchangeProducerSpec spec,
+        UnitProducer(fslot, u, "exchange partition", build_unit_pipeline));
+    producers.push_back(std::move(spec));
+  }
+  return Gather(std::move(producers));
+}
+
+/// Two-stage aggregation: per-fragment eval + partial aggregation below the
+/// gather, combine + HAVING + the select-list projection above it.
+Result<OperatorPtr> LowerAggregation(const PlanState& s, PhysicalPlan* plan) {
+  const SelectStmt& stmt = s.stmt;
+  // Bind group keys + agg args against the stream schema.
+  std::vector<ExprPtr> group_exprs;
+  std::vector<ExprPtr> agg_args;
+  std::vector<AggSpec> aggs;
+  for (const auto& g : stmt.group_by) {
+    STRATICA_ASSIGN_OR_RETURN(ExprPtr e, s.RebindToStream(g));
+    group_exprs.push_back(e);
+  }
+  auto add_agg = [&](const AggCall& call) -> Status {
+    AggSpec a;
+    a.kind = call.kind;
+    if (call.arg) {
+      STRATICA_ASSIGN_OR_RETURN(ExprPtr e, s.RebindToStream(call.arg));
+      a.input_type = e->type;
+      agg_args.push_back(e);
+      a.input_column = static_cast<int>(group_exprs.size() + agg_args.size() - 1);
     }
-    return specs;
+    aggs.push_back(a);
+    return Status::OK();
   };
+  for (const auto& item : stmt.items) {
+    if (item.kind == SelectItem::Kind::kAgg) STRATICA_RETURN_NOT_OK(add_agg(item.agg));
+  }
+  for (const auto& call : stmt.having_aggs) STRATICA_RETURN_NOT_OK(add_agg(call));
 
-  // ---- aggregation / projection ----------------------------------------------
-  bool has_aggs = !stmt.group_by.empty() || !stmt.having_aggs.empty();
-  for (const auto& item : stmt.items) has_aggs |= item.kind == SelectItem::Kind::kAgg;
-  bool has_windows = false;
-  for (const auto& item : stmt.items)
-    has_windows |= item.kind == SelectItem::Kind::kWindow;
-  if (has_aggs && has_windows)
-    return Status::NotImplemented("window functions with GROUP BY");
+  // Pipeline per unit: ExprEval computing (group keys..., agg args...),
+  // then partial aggregation; prepass under intra-node parallel regions is
+  // exercised by the bench harness via this same operator stack.
+  bool partialable = true;
+  for (const auto& a : aggs) partialable &= a.Partialable();
 
-  PhysicalPlan plan;
-  OperatorPtr root;
-
-  if (has_aggs) {
-    // Bind group keys + agg args against the stream schema.
-    GroupBySpec gspec;
-    std::vector<ExprPtr> group_exprs;
-    std::vector<ExprPtr> agg_args;
-    std::vector<AggSpec> aggs;
-    for (const auto& g : stmt.group_by) {
-      STRATICA_ASSIGN_OR_RETURN(ExprPtr e, rebind_to_stream(g));
-      group_exprs.push_back(e);
-    }
-    auto add_agg = [&](const AggCall& call) -> Status {
-      AggSpec a;
-      a.kind = call.kind;
-      if (call.arg) {
-        STRATICA_ASSIGN_OR_RETURN(ExprPtr e, rebind_to_stream(call.arg));
-        a.input_type = e->type;
-        agg_args.push_back(e);
-        a.input_column = static_cast<int>(group_exprs.size() + agg_args.size() - 1);
-      }
-      aggs.push_back(a);
-      return Status::OK();
-    };
-    for (const auto& item : stmt.items) {
-      if (item.kind == SelectItem::Kind::kAgg) STRATICA_RETURN_NOT_OK(add_agg(item.agg));
-    }
-    for (const auto& call : stmt.having_aggs) STRATICA_RETURN_NOT_OK(add_agg(call));
-
-    // Pipeline per unit: ExprEval computing (group keys..., agg args...),
-    // then partial aggregation; prepass under intra-node parallel regions is
-    // exercised by the bench harness via this same operator stack.
-    bool partialable = true;
-    for (const auto& a : aggs) partialable &= a.Partialable();
-
-    std::vector<ExprPtr> eval_exprs = group_exprs;
-    for (const auto& e : agg_args) eval_exprs.push_back(e);
-    std::vector<std::string> eval_names;
-    for (size_t i = 0; i < group_exprs.size(); ++i)
-      eval_names.push_back("g" + std::to_string(i));
-    for (size_t i = 0; i < agg_args.size(); ++i)
-      eval_names.push_back("a" + std::to_string(i));
-    if (eval_exprs.empty()) {
-      // COUNT(*) with no grouping: keep one carrier column so row counts
-      // survive the ExprEval.
-      eval_exprs.push_back(Lit(Value::Int64(1)));
-      eval_names.push_back("one");
-    }
-
-    GroupBySpec local;
-    for (size_t i = 0; i < group_exprs.size(); ++i)
-      local.group_columns.push_back(static_cast<uint32_t>(i));
-    local.aggs = aggs;
-    local.phase = partialable ? AggPhase::kPartial : AggPhase::kSingle;
-    for (auto& name : eval_names) local.output_names.push_back(name);
-
-    // Each local = unit pipeline + eval + partial aggregation; the whole
-    // stack is rebuildable against a buddy copy, so hedged units redo their
-    // partial aggregation from the replacement scan. The finisher runs per
-    // fragment, so under fan-out each morsel fragment carries its own eval
-    // + partial table and the aggregation parallelizes with the scan
-    // (Figure 3's parallel GroupBys above a StorageUnion).
-    auto build_local = [build_unit_pipeline, eval_exprs, eval_names, local,
-                        partialable](ProjectionStorage* ps, bool primary,
-                                     size_t u) -> Result<OperatorPtr> {
-      FragmentFinisher finish = [eval_exprs, eval_names, local, partialable](
-                                    OperatorPtr pipeline) -> Result<OperatorPtr> {
-        auto eval = std::make_unique<ProjectOperator>(
-            std::move(pipeline), std::vector<ExprPtr>(eval_exprs), eval_names);
-        if (partialable) {
-          return OperatorPtr(
-              std::make_unique<HashGroupByOperator>(std::move(eval), local));
-        }
-        return OperatorPtr(std::move(eval));  // raw rows; single-stage at initiator
-      };
-      return build_unit_pipeline(ps, primary, u, finish);
-    };
-    STRATICA_ASSIGN_OR_RETURN(std::vector<ExchangeProducerSpec> locals,
-                              make_unit_specs(build_local));
-    OperatorPtr gathered =
-        locals.size() == 1 ? std::move(locals[0].op)
-                           : MakeUnionExchange(std::move(locals), "Recv", true);
-    GroupBySpec final_spec = local;
-    final_spec.phase = partialable ? AggPhase::kCombine : AggPhase::kSingle;
-    final_spec.output_names.clear();
-    for (size_t i = 0; i < group_exprs.size(); ++i)
-      final_spec.output_names.push_back("g" + std::to_string(i));
-    for (size_t i = 0; i < aggs.size(); ++i)
-      final_spec.output_names.push_back("agg" + std::to_string(i));
-    root = std::make_unique<HashGroupByOperator>(std::move(gathered), final_spec);
-
-    // HAVING over (group cols..., agg outputs...).
-    if (stmt.having) {
-      BindSchema having_schema;
-      for (size_t i = 0; i < group_exprs.size(); ++i)
-        having_schema.Add("g" + std::to_string(i), group_exprs[i]->type);
-      size_t select_aggs = aggs.size() - stmt.having_aggs.size();
-      for (size_t i = 0; i < aggs.size(); ++i) {
-        std::string name = "agg" + std::to_string(i);
-        if (i >= select_aggs)
-          name = "$having" + std::to_string(i - select_aggs);
-        having_schema.Add(name, aggs[i].OutputType());
-      }
-      ExprPtr having = CloneExpr(stmt.having);
-      STRATICA_RETURN_NOT_OK(BindExpr(having, having_schema));
-      root = std::make_unique<FilterOperator>(std::move(root), having);
-    }
-
-    // Final projection mapping select items onto group/agg outputs.
-    std::vector<ExprPtr> out_exprs;
-    size_t agg_cursor = 0;
-    for (const auto& item : stmt.items) {
-      if (item.kind == SelectItem::Kind::kAgg) {
-        size_t col = group_exprs.size() + agg_cursor++;
-        out_exprs.push_back(ColIdx(static_cast<int>(col), aggs[agg_cursor - 1].OutputType()));
-        plan.column_names.push_back(item.alias.empty()
-                                        ? std::string(AggKindName(item.agg.kind))
-                                        : item.alias);
-      } else if (item.kind == SelectItem::Kind::kExpr) {
-        // Must match a group-by expression.
-        ExprPtr bound_item;
-        STRATICA_ASSIGN_OR_RETURN(bound_item, rebind_to_stream(item.expr));
-        int found = -1;
-        for (size_t g = 0; g < group_exprs.size(); ++g) {
-          if (group_exprs[g]->ToString() == bound_item->ToString())
-            found = static_cast<int>(g);
-        }
-        if (found < 0)
-          return Status::AnalysisError("select expression not in GROUP BY: ",
-                                       item.expr->ToString());
-        out_exprs.push_back(ColIdx(found, group_exprs[found]->type));
-        plan.column_names.push_back(item.alias.empty() ? item.expr->ToString()
-                                                       : item.alias);
-      } else {
-        return Status::AnalysisError("SELECT * not valid with GROUP BY");
-      }
-    }
-    std::vector<std::string> out_names = plan.column_names;
-    root = std::make_unique<ProjectOperator>(std::move(root), out_exprs, out_names);
-  } else {
-    // No aggregation: gather rows, then project.
-    auto build_plain = [build_unit_pipeline](ProjectionStorage* ps, bool primary,
-                                             size_t u) -> Result<OperatorPtr> {
-      FragmentFinisher identity = [](OperatorPtr op) -> Result<OperatorPtr> {
-        return OperatorPtr(std::move(op));
-      };
-      return build_unit_pipeline(ps, primary, u, identity);
-    };
-    STRATICA_ASSIGN_OR_RETURN(std::vector<ExchangeProducerSpec> unit_pipelines,
-                              make_unit_specs(build_plain));
-    OperatorPtr gathered = unit_pipelines.size() == 1
-                               ? std::move(unit_pipelines[0].op)
-                               : MakeUnionExchange(std::move(unit_pipelines), "Recv",
-                                                   true);
-    // Window functions: sort by (partition, order) then Analytic.
-    std::vector<TypeId> window_types;
-    if (has_windows) {
-      AnalyticSpec aspec;
-      bool first_window = true;
-      size_t stream_width = stream_schema.size();
-      std::vector<ExprPtr> pre_exprs;   // pass-through stream + computed keys
-      for (size_t c = 0; c < stream_width; ++c)
-        pre_exprs.push_back(ColIdx(static_cast<int>(c), stream_schema.types[c]));
-      std::vector<std::string> pre_names = stream_schema.names;
-      std::vector<SortKey> sort_keys;
-      for (const auto& item : stmt.items) {
-        if (item.kind != SelectItem::Kind::kWindow) continue;
-        const WindowCall& w = item.window;
-        if (first_window) {
-          for (const auto& pe : w.partition_by) {
-            STRATICA_ASSIGN_OR_RETURN(ExprPtr e, rebind_to_stream(pe));
-            if (e->kind != ExprKind::kColumnRef)
-              return Status::NotImplemented("non-column PARTITION BY");
-            aspec.partition_columns.push_back(
-                static_cast<uint32_t>(e->column_index));
-            sort_keys.push_back({static_cast<uint32_t>(e->column_index), false});
-          }
-          for (const auto& [oe, desc] : w.order_by) {
-            STRATICA_ASSIGN_OR_RETURN(ExprPtr e, rebind_to_stream(oe));
-            if (e->kind != ExprKind::kColumnRef)
-              return Status::NotImplemented("non-column window ORDER BY");
-            aspec.order_keys.push_back({static_cast<uint32_t>(e->column_index), desc});
-            sort_keys.push_back({static_cast<uint32_t>(e->column_index), desc});
-          }
-          first_window = false;
-        }
-        WindowSpec ws;
-        ws.func = w.func;
-        if (w.arg) {
-          STRATICA_ASSIGN_OR_RETURN(ExprPtr e, rebind_to_stream(w.arg));
-          if (e->kind != ExprKind::kColumnRef)
-            return Status::NotImplemented("non-column window argument");
-          ws.input_column = e->column_index;
-        }
-        ws.output_name = item.alias.empty() ? WindowFuncName(w.func) : item.alias;
-        window_types.push_back(ws.OutputType(stream_schema.types));
-        aspec.windows.push_back(ws);
-      }
-      gathered = std::make_unique<SortOperator>(std::move(gathered), sort_keys);
-      gathered = std::make_unique<AnalyticOperator>(std::move(gathered), aspec);
-    }
-
-    std::vector<ExprPtr> out_exprs;
-    size_t window_cursor = 0;
-    size_t stream_width = stream_schema.size();
-    for (const auto& item : stmt.items) {
-      switch (item.kind) {
-        case SelectItem::Kind::kStar:
-          for (size_t c = 0; c < stream_width; ++c) {
-            out_exprs.push_back(ColIdx(static_cast<int>(c), stream_schema.types[c]));
-            plan.column_names.push_back(stream_schema.names[c]);
-          }
-          break;
-        case SelectItem::Kind::kExpr: {
-          STRATICA_ASSIGN_OR_RETURN(ExprPtr e, rebind_to_stream(item.expr));
-          out_exprs.push_back(e);
-          plan.column_names.push_back(item.alias.empty() ? item.expr->ToString()
-                                                         : item.alias);
-          break;
-        }
-        case SelectItem::Kind::kWindow: {
-          int col = static_cast<int>(stream_width + window_cursor);
-          out_exprs.push_back(ColIdx(col, window_types[window_cursor]));
-          ++window_cursor;
-          plan.column_names.push_back(item.alias.empty()
-                                          ? WindowFuncName(item.window.func)
-                                          : item.alias);
-          break;
-        }
-        case SelectItem::Kind::kAgg:
-          return Status::Internal("agg item in non-agg path");
-      }
-    }
-    // Window output types need correction after Analytic wiring.
-    root = std::make_unique<ProjectOperator>(std::move(gathered), out_exprs,
-                                             plan.column_names);
+  std::vector<ExprPtr> eval_exprs = group_exprs;
+  for (const auto& e : agg_args) eval_exprs.push_back(e);
+  std::vector<std::string> eval_names;
+  for (size_t i = 0; i < group_exprs.size(); ++i)
+    eval_names.push_back("g" + std::to_string(i));
+  for (size_t i = 0; i < agg_args.size(); ++i)
+    eval_names.push_back("a" + std::to_string(i));
+  if (eval_exprs.empty()) {
+    // COUNT(*) with no grouping: keep one carrier column so row counts
+    // survive the ExprEval.
+    eval_exprs.push_back(Lit(Value::Int64(1)));
+    eval_names.push_back("one");
   }
 
+  GroupBySpec local;
+  for (size_t i = 0; i < group_exprs.size(); ++i)
+    local.group_columns.push_back(static_cast<uint32_t>(i));
+  local.aggs = aggs;
+  local.phase = partialable ? AggPhase::kPartial : AggPhase::kSingle;
+  for (auto& name : eval_names) local.output_names.push_back(name);
+
+  // Each local = unit pipeline + eval + partial aggregation; the whole
+  // stack is rebuildable against a buddy copy, so hedged units redo their
+  // partial aggregation from the replacement scan. The finisher runs per
+  // fragment, so under fan-out each morsel fragment carries its own eval
+  // + partial table and the aggregation parallelizes with the scan
+  // (Figure 3's parallel GroupBys above a StorageUnion).
+  FragmentFinisher finish = [eval_exprs, eval_names, local, partialable](
+                                OperatorPtr pipeline) -> Result<OperatorPtr> {
+    auto eval = std::make_unique<ProjectOperator>(
+        std::move(pipeline), std::vector<ExprPtr>(eval_exprs), eval_names);
+    if (partialable) {
+      return OperatorPtr(std::make_unique<HashGroupByOperator>(std::move(eval), local));
+    }
+    return OperatorPtr(std::move(eval));  // raw rows; single-stage at initiator
+  };
+  STRATICA_ASSIGN_OR_RETURN(OperatorPtr gathered, GatherUnitPipelines(s, finish));
+  GroupBySpec final_spec = local;
+  final_spec.phase = partialable ? AggPhase::kCombine : AggPhase::kSingle;
+  final_spec.output_names.clear();
+  for (size_t i = 0; i < group_exprs.size(); ++i)
+    final_spec.output_names.push_back("g" + std::to_string(i));
+  for (size_t i = 0; i < aggs.size(); ++i)
+    final_spec.output_names.push_back("agg" + std::to_string(i));
+  OperatorPtr root = std::make_unique<HashGroupByOperator>(std::move(gathered), final_spec);
+
+  // HAVING over (group cols..., agg outputs...).
+  if (stmt.having) {
+    BindSchema having_schema;
+    for (size_t i = 0; i < group_exprs.size(); ++i)
+      having_schema.Add("g" + std::to_string(i), group_exprs[i]->type);
+    size_t select_aggs = aggs.size() - stmt.having_aggs.size();
+    for (size_t i = 0; i < aggs.size(); ++i) {
+      std::string name = "agg" + std::to_string(i);
+      if (i >= select_aggs)
+        name = "$having" + std::to_string(i - select_aggs);
+      having_schema.Add(name, aggs[i].OutputType());
+    }
+    ExprPtr having = CloneExpr(stmt.having);
+    STRATICA_RETURN_NOT_OK(BindExpr(having, having_schema));
+    root = std::make_unique<FilterOperator>(std::move(root), having);
+  }
+
+  // Final projection mapping select items onto group/agg outputs.
+  std::vector<ExprPtr> out_exprs;
+  size_t agg_cursor = 0;
+  for (const auto& item : stmt.items) {
+    if (item.kind == SelectItem::Kind::kAgg) {
+      size_t col = group_exprs.size() + agg_cursor++;
+      out_exprs.push_back(ColIdx(static_cast<int>(col), aggs[agg_cursor - 1].OutputType()));
+      plan->column_names.push_back(item.alias.empty()
+                                       ? std::string(AggKindName(item.agg.kind))
+                                       : item.alias);
+    } else if (item.kind == SelectItem::Kind::kExpr) {
+      // Must match a group-by expression.
+      STRATICA_ASSIGN_OR_RETURN(ExprPtr bound_item, s.RebindToStream(item.expr));
+      int found = -1;
+      for (size_t g = 0; g < group_exprs.size(); ++g) {
+        if (group_exprs[g]->ToString() == bound_item->ToString())
+          found = static_cast<int>(g);
+      }
+      if (found < 0)
+        return Status::AnalysisError("select expression not in GROUP BY: ",
+                                     item.expr->ToString());
+      out_exprs.push_back(ColIdx(found, group_exprs[found]->type));
+      plan->column_names.push_back(item.alias.empty() ? item.expr->ToString()
+                                                      : item.alias);
+    } else {
+      return Status::AnalysisError("SELECT * not valid with GROUP BY");
+    }
+  }
+  return OperatorPtr(
+      std::make_unique<ProjectOperator>(std::move(root), out_exprs, plan->column_names));
+}
+
+/// No aggregation: gather rows, evaluate window functions (sort by
+/// partition and order keys, then Analytic), then project the select list.
+Result<OperatorPtr> LowerProjection(const PlanState& s, PhysicalPlan* plan) {
+  const SelectStmt& stmt = s.stmt;
+  const BindSchema& stream_schema = s.stream_schema;
+  const size_t stream_width = stream_schema.size();
+  STRATICA_ASSIGN_OR_RETURN(OperatorPtr gathered, GatherUnitPipelines(s, nullptr));
+  std::vector<TypeId> window_types;
+  if (s.has_windows) {
+    AnalyticSpec aspec;
+    bool first_window = true;
+    std::vector<SortKey> sort_keys;
+    for (const auto& item : stmt.items) {
+      if (item.kind != SelectItem::Kind::kWindow) continue;
+      const WindowCall& w = item.window;
+      if (first_window) {
+        for (const auto& pe : w.partition_by) {
+          STRATICA_ASSIGN_OR_RETURN(ExprPtr e, s.RebindToStream(pe));
+          if (e->kind != ExprKind::kColumnRef)
+            return Status::NotImplemented("non-column PARTITION BY");
+          aspec.partition_columns.push_back(static_cast<uint32_t>(e->column_index));
+          sort_keys.push_back({static_cast<uint32_t>(e->column_index), false});
+        }
+        for (const auto& [oe, desc] : w.order_by) {
+          STRATICA_ASSIGN_OR_RETURN(ExprPtr e, s.RebindToStream(oe));
+          if (e->kind != ExprKind::kColumnRef)
+            return Status::NotImplemented("non-column window ORDER BY");
+          aspec.order_keys.push_back({static_cast<uint32_t>(e->column_index), desc});
+          sort_keys.push_back({static_cast<uint32_t>(e->column_index), desc});
+        }
+        first_window = false;
+      }
+      WindowSpec ws;
+      ws.func = w.func;
+      if (w.arg) {
+        STRATICA_ASSIGN_OR_RETURN(ExprPtr e, s.RebindToStream(w.arg));
+        if (e->kind != ExprKind::kColumnRef)
+          return Status::NotImplemented("non-column window argument");
+        ws.input_column = e->column_index;
+      }
+      ws.output_name = item.alias.empty() ? WindowFuncName(w.func) : item.alias;
+      window_types.push_back(ws.OutputType(stream_schema.types));
+      aspec.windows.push_back(ws);
+    }
+    gathered = std::make_unique<SortOperator>(std::move(gathered), sort_keys);
+    gathered = std::make_unique<AnalyticOperator>(std::move(gathered), aspec);
+  }
+
+  std::vector<ExprPtr> out_exprs;
+  size_t window_cursor = 0;
+  for (const auto& item : stmt.items) {
+    switch (item.kind) {
+      case SelectItem::Kind::kStar:
+        for (size_t c = 0; c < stream_width; ++c) {
+          out_exprs.push_back(ColIdx(static_cast<int>(c), stream_schema.types[c]));
+          plan->column_names.push_back(stream_schema.names[c]);
+        }
+        break;
+      case SelectItem::Kind::kExpr: {
+        STRATICA_ASSIGN_OR_RETURN(ExprPtr e, s.RebindToStream(item.expr));
+        out_exprs.push_back(e);
+        plan->column_names.push_back(item.alias.empty() ? item.expr->ToString()
+                                                        : item.alias);
+        break;
+      }
+      case SelectItem::Kind::kWindow: {
+        int col = static_cast<int>(stream_width + window_cursor);
+        out_exprs.push_back(ColIdx(col, window_types[window_cursor]));
+        ++window_cursor;
+        plan->column_names.push_back(item.alias.empty() ? WindowFuncName(item.window.func)
+                                                        : item.alias);
+        break;
+      }
+      case SelectItem::Kind::kAgg:
+        return Status::Internal("agg item in non-agg path");
+    }
+  }
+  return OperatorPtr(
+      std::make_unique<ProjectOperator>(std::move(gathered), out_exprs, plan->column_names));
+}
+
+/// DISTINCT, ORDER BY (unless the scan already carries it) and LIMIT over
+/// the output columns.
+Result<OperatorPtr> LowerOutput(const PlanState& s, OperatorPtr root,
+                                const PhysicalPlan& plan) {
+  const SelectStmt& stmt = s.stmt;
   // DISTINCT: group-by over every output column.
   if (stmt.distinct) {
     GroupBySpec dspec;
@@ -1250,29 +1275,25 @@ Result<PhysicalPlan> Planner::PlanSelect(const SelectStmt& stmt,
     root = std::make_unique<HashGroupByOperator>(std::move(root), dspec);
   }
 
-  // ORDER BY over the output schema (unless the scan already carries it).
-  if (!stmt.order_by.empty() && !sort_eliminated) {
+  if (!stmt.order_by.empty() && !s.sort_eliminated) {
     BindSchema out_schema;
     auto types = root->OutputTypes();
     for (size_t c = 0; c < plan.column_names.size(); ++c)
       out_schema.Add(plan.column_names[c], types[c]);
     std::vector<SortKey> keys;
     for (const auto& [oe, desc] : stmt.order_by) {
-      ExprPtr e = CloneExpr(oe);
       int idx = -1;
       // Match by alias/name first, then by rendered expression.
-      if (e->kind == ExprKind::kColumnRef) {
-        idx = out_schema.Find(e->column_name);
-      }
+      if (oe->kind == ExprKind::kColumnRef) idx = out_schema.Find(oe->column_name);
       if (idx < 0) {
-        std::string rendered = e->ToString();
+        std::string rendered = oe->ToString();
         for (size_t c = 0; c < plan.column_names.size(); ++c) {
           if (plan.column_names[c] == rendered) idx = static_cast<int>(c);
         }
       }
       if (idx < 0)
         return Status::AnalysisError("ORDER BY must reference an output column: ",
-                                     e->ToString());
+                                     oe->ToString());
       keys.push_back({static_cast<uint32_t>(idx), desc});
     }
     // A LIMIT above the Sort fuses into a top-k heap: the sort keeps only
@@ -1294,11 +1315,37 @@ Result<PhysicalPlan> Planner::PlanSelect(const SelectStmt& stmt,
                                            static_cast<uint64_t>(stmt.limit),
                                            static_cast<uint64_t>(stmt.offset));
   }
+  return OperatorPtr(std::move(root));
+}
 
+}  // namespace
+
+Result<PhysicalPlan> Planner::PlanSelect(const SelectStmt& stmt,
+                                         size_t intra_node_parallelism) {
+  PlanState s(stmt, cluster_);
+  STRATICA_RETURN_NOT_OK(BindAndPlacePredicates(&s));
+  // Capture the topology under a shared lock so an elastic rebalance can't
+  // swap storages mid-plan: every unit, host id and ring slot below must
+  // come from one consistent node count. A plan captured just before a
+  // swap keeps working — retired storages stay alive and readable.
+  auto topology = cluster_->LockTopologyShared();
+  STRATICA_RETURN_NOT_OK(ChooseAccessPaths(&s));
+  OrderJoins(&s);
+  STRATICA_RETURN_NOT_OK(PruneColumns(&s));
+  STRATICA_RETURN_NOT_OK(BuildScanSpecs(&s));
+  STRATICA_RETURN_NOT_OK(PlanJoins(&s));
+  ChoosePhysicalProperties(&s, intra_node_parallelism);
+
+  if (s.has_aggs && s.has_windows)
+    return Status::NotImplemented("window functions with GROUP BY");
+  PhysicalPlan plan;
+  STRATICA_ASSIGN_OR_RETURN(OperatorPtr root, s.has_aggs ? LowerAggregation(s, &plan)
+                                                         : LowerProjection(s, &plan));
+  STRATICA_ASSIGN_OR_RETURN(root, LowerOutput(s, std::move(root), plan));
   plan.column_types = root->OutputTypes();
   plan.estimated_memory_bytes = EstimatePlanMemory(*root);
-  plan.fanout = fanout;
-  plan.morsel_bypass = morsel_bypass;
+  plan.fanout = s.fanout;
+  plan.morsel_bypass = s.morsel_bypass;
   plan.root = std::move(root);
   return plan;
 }

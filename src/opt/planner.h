@@ -43,8 +43,8 @@ struct PhysicalPlan {
   /// (small fact, order-carrying scan, RIGHT/FULL join). The executor maps
   /// this to worker fan-out; admission may replan at a smaller value.
   size_t fanout = 1;
-  /// True when the plan runs serial *specifically* because the scan shape
-  /// (sorted output / RLE passthrough) cannot ride the morsel path. Surfaced
+  /// True when the plan runs serial *specifically* because the scan is
+  /// order-carrying (sorted output) and cannot ride the morsel path. Surfaced
   /// as ExecStats::morsel_bypasses so AllowedFanout accounting is honest
   /// about the bypass instead of silently planning serial (DESIGN.md §12).
   bool morsel_bypass = false;
@@ -54,7 +54,8 @@ class Planner {
  public:
   explicit Planner(Cluster* cluster) : cluster_(cluster) {}
 
-  /// Plan a SELECT into an executable operator tree. When
+  /// Plan a SELECT into an executable operator tree, in eight passes over
+  /// one plan state (DESIGN.md §15). When
   /// `intra_node_parallelism` > 1, each scan-unit pipeline is split into
   /// that many morsel-driven fragments sharing one dispenser and one build
   /// per join (DESIGN.md §12), subject to the gates noted on
@@ -67,9 +68,6 @@ class Planner {
                               size_t intra_node_parallelism = 1);
 
  private:
-  struct TableSlot;  // resolved FROM entry
-  struct Scope;      // full planning scope
-
   Cluster* cluster_;
 };
 

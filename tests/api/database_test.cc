@@ -192,5 +192,13 @@ TEST_F(DatabaseFixture, ErrorsAreCleanStatuses) {
   EXPECT_FALSE(db_->Execute("SELECT region FROM sales GROUP BY cust").ok());
 }
 
+TEST_F(DatabaseFixture, SelectWithoutFromIsRefused) {
+  // The parser accepts a SELECT with no FROM; the planner has no table to
+  // scan and must refuse it rather than index an empty join order.
+  auto r = db_->Execute("SELECT 1");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kNotImplemented) << r.status().ToString();
+}
+
 }  // namespace
 }  // namespace stratica

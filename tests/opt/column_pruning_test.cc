@@ -7,6 +7,8 @@
 // 1 and 4, encoded and decode-first execution. Answers are checked against
 // results computed by plain loops over the generated rows. The fact table
 // keeps a slice of its rows in the WOS so both scan sources are pruned.
+// The same harness pins the planner's co-location and outer-join predicate
+// placement rules (DESIGN.md §15) on small tables of their own.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -41,6 +43,18 @@ int64_t DEk(int64_t i) { return i % 5; }
 int64_t DDv(int64_t i) { return (i * 53) % 1000; }
 int64_t DFlag(int64_t i) { return i % 2; }
 std::string DName(int64_t i) { return "d" + std::to_string(i); }
+
+// Co-location tables: cf(fk, pad) with fk = i % 100; ct(j, k) with
+// k = 37j % 100, a permutation of 0..99; co(j, x). Each is segmented by
+// HASH of its first column, so ct and co are segmented alike on the ct-co
+// join key but neither matches the fact's HASH(cf.fk) on the cf-ct edge.
+constexpr int64_t kStarFactRows = 3000;
+constexpr int64_t kStarDimRows = 100;
+
+// Outer-join tables: lf(k, p) with k = p = 0..9; ld(k, dname) with
+// k = 0..4 and dname NULL from k = 3 on.
+constexpr int64_t kOuterFactRows = 10;
+constexpr int64_t kOuterDimRows = 5;
 
 using Row = std::vector<Value>;
 
@@ -131,6 +145,42 @@ std::unique_ptr<Database> MakeDatabase(const Variant& v) {
   EXPECT_TRUE(db->Load("f", fact_rows(0, kRosRows)).ok());
   EXPECT_TRUE(db->Load("d", d).ok());
   EXPECT_TRUE(db->Load("e", e).ok());
+
+  exec("CREATE TABLE cf (fk INT, pad INT)");
+  exec("CREATE TABLE ct (j INT, k INT)");
+  exec("CREATE TABLE co (j INT, x INT)");
+  RowBlock cf({TypeId::kInt64, TypeId::kInt64});
+  for (int64_t i = 0; i < kStarFactRows; ++i) {
+    cf.columns[0].ints.push_back(i % kStarDimRows);
+    cf.columns[1].ints.push_back(i);
+  }
+  RowBlock ct({TypeId::kInt64, TypeId::kInt64});
+  RowBlock co({TypeId::kInt64, TypeId::kInt64});
+  for (int64_t i = 0; i < kStarDimRows; ++i) {
+    ct.columns[0].ints.push_back(i);
+    ct.columns[1].ints.push_back((i * 37) % kStarDimRows);
+    co.columns[0].ints.push_back(i);
+    co.columns[1].ints.push_back(i);
+  }
+  EXPECT_TRUE(db->Load("cf", cf).ok());
+  EXPECT_TRUE(db->Load("ct", ct).ok());
+  EXPECT_TRUE(db->Load("co", co).ok());
+
+  exec("CREATE TABLE lf (k INT, p INT)");
+  exec("CREATE TABLE ld (k INT, dname VARCHAR)");
+  RowBlock lf({TypeId::kInt64, TypeId::kInt64});
+  for (int64_t i = 0; i < kOuterFactRows; ++i) {
+    lf.columns[0].ints.push_back(i);
+    lf.columns[1].ints.push_back(i);
+  }
+  RowBlock ld({TypeId::kInt64, TypeId::kString});
+  for (int64_t i = 0; i < kOuterDimRows; ++i) {
+    ld.columns[0].ints.push_back(i);
+    ld.columns[1].strings.push_back(i < 3 ? "n" + std::to_string(i) : "");
+    ld.columns[1].nulls.push_back(i < 3 ? 0 : 1);
+  }
+  EXPECT_TRUE(db->Load("lf", lf).ok());
+  EXPECT_TRUE(db->Load("ld", ld).ok());
   EXPECT_TRUE(db->RunTupleMover().ok());
   EXPECT_TRUE(db->Load("f", fact_rows(kRosRows, kFactRows)).ok());  // WOS
   return db;
@@ -161,6 +211,17 @@ class ColumnPruningTest : public ::testing::Test {
         if (!ordered) std::sort(got.begin(), got.end());
         EXPECT_EQ(got, want);
       }
+    }
+  }
+
+  // An outer join's ON condition the engine cannot evaluate is refused on
+  // every database rather than answered wrongly.
+  static void ExpectNotImplementedEverywhere(const std::string& sql) {
+    for (size_t i = 0; i < dbs_.size(); ++i) {
+      SCOPED_TRACE(sql + " on " + kVariants[i].Name());
+      auto r = dbs_[i]->Execute(sql);
+      ASSERT_FALSE(r.ok());
+      EXPECT_EQ(r.status().code(), StatusCode::kNotImplemented) << r.status().ToString();
     }
   }
 
@@ -342,6 +403,65 @@ TEST_F(ColumnPruningTest, ColocatedSelfJoin) {
   for (int64_t i = 0; i < kDimKeys; ++i) n += DFlag(i) == 1;
   ExpectEverywhere("SELECT COUNT(*) FROM d a JOIN d b ON a.k = b.k WHERE a.flag = 1",
                    {{Int(n)}});
+}
+
+// The stream is partitioned by the fact's segmentation, so only a join
+// whose edge to the fact is segmented alike on both sides is co-located.
+// ct and co are segmented alike on their own join key, but the ct-co join
+// must still broadcast. Both conjunct orders must agree.
+TEST_F(ColumnPruningTest, ColocationFollowsFactEdgeFactKeyFirst) {
+  ExpectEverywhere("SELECT COUNT(*) FROM cf, ct, co WHERE cf.fk = ct.k AND ct.j = co.j",
+                   {{Int(kStarFactRows)}});
+}
+
+TEST_F(ColumnPruningTest, ColocationFollowsFactEdgeFactKeyLast) {
+  ExpectEverywhere("SELECT COUNT(*) FROM cf, ct, co WHERE ct.j = co.j AND cf.fk = ct.k",
+                   {{Int(kStarFactRows)}});
+}
+
+// Outer-join predicate placement. A WHERE conjunct on a null-extended side
+// filters the joined rows; an ON conjunct on the nullable side filters
+// that side's scan.
+TEST_F(ColumnPruningTest, LeftJoinWhereIsNullOnNullableSide) {
+  std::vector<Row> expected;
+  for (int64_t k = 3; k < kOuterFactRows; ++k) expected.push_back({Int(k), NullStr()});
+  ExpectEverywhere(
+      "SELECT lf.k, ld.dname FROM lf LEFT JOIN ld ON lf.k = ld.k WHERE ld.dname IS NULL",
+      expected);
+}
+
+TEST_F(ColumnPruningTest, LeftJoinOnPredicateOnPreservedSideIsRefused) {
+  ExpectNotImplementedEverywhere(
+      "SELECT lf.k, ld.k FROM lf LEFT JOIN ld ON lf.k = ld.k AND lf.p > 5");
+}
+
+TEST_F(ColumnPruningTest, LeftJoinOnPredicateOnNullableSide) {
+  std::vector<Row> expected;
+  for (int64_t k = 0; k < kOuterFactRows; ++k) {
+    expected.push_back({Int(k), k == 3 ? Int(3) : NullInt()});
+  }
+  ExpectEverywhere("SELECT lf.k, ld.k FROM lf LEFT JOIN ld ON lf.k = ld.k AND ld.k = 3",
+                   expected);
+}
+
+TEST_F(ColumnPruningTest, LeftJoinOnCrossTablePredicateIsRefused) {
+  ExpectNotImplementedEverywhere(
+      "SELECT lf.k, ld.k FROM lf LEFT JOIN ld ON lf.k = ld.k AND ld.k < lf.p");
+}
+
+TEST_F(ColumnPruningTest, RightJoinWhereOnNullableSide) {
+  ExpectEverywhere("SELECT lf.k, ld.k FROM lf RIGHT JOIN ld ON lf.k = ld.k WHERE lf.p > 2",
+                   {{Int(3), Int(3)}, {Int(4), Int(4)}});
+}
+
+TEST_F(ColumnPruningTest, FullJoinWhereOnNullableSide) {
+  ExpectEverywhere("SELECT lf.k, ld.k FROM lf FULL JOIN ld ON lf.k = ld.k WHERE lf.p > 7",
+                   {{Int(8), NullInt()}, {Int(9), NullInt()}});
+}
+
+TEST_F(ColumnPruningTest, RightJoinWhereIsNullOnNullableSide) {
+  ExpectEverywhere(
+      "SELECT lf.k, ld.k FROM lf RIGHT JOIN ld ON lf.k = ld.k WHERE lf.p IS NULL", {});
 }
 
 // The Q1 shape of the paper's Table 3 on a 4-column table: the scan emits
