@@ -359,27 +359,25 @@ Status BindAndPlacePredicates(PlanState* s) {
       slot.join_type = JoinType::kInner;
     }
   }
-  // first_null[t]: the first join that null-extends table t (n = none).
-  // LEFT extends its right side, RIGHT the whole stream, FULL both.
-  std::vector<size_t> first_null(n, n);
-  for (size_t t = 1; t < n; ++t) {
-    JoinType jt = s->tables[t].join_type;
-    s->all_inner &= jt == JoinType::kInner;
-    if (jt == JoinType::kLeft || jt == JoinType::kFull) first_null[t] = t;
-    if (jt == JoinType::kRight || jt == JoinType::kFull) {
-      for (size_t o = 0; o < t; ++o) first_null[o] = std::min(first_null[o], t);
-    }
-  }
-  auto null_extended_before = [&](const std::set<size_t>& tables, size_t step) {
-    for (size_t t : tables) {
-      if (first_null[t] < step) return true;
+  for (size_t t = 1; t < n; ++t) s->all_inner &= s->tables[t].join_type == JoinType::kInner;
+  // Does a join in [from, to) null-extend a table of `tables`? LEFT extends
+  // its right side, RIGHT the whole stream, FULL both.
+  auto null_extended = [&](const std::set<size_t>& tables, size_t from, size_t to) {
+    for (size_t j = std::max<size_t>(from, 1); j < to; ++j) {
+      JoinType jt = s->tables[j].join_type;
+      for (size_t t : tables) {
+        if (((jt == JoinType::kLeft || jt == JoinType::kFull) && t == j) ||
+            ((jt == JoinType::kRight || jt == JoinType::kFull) && t < j)) {
+          return true;
+        }
+      }
     }
     return false;
   };
   // WHERE filters the joined rows: on a null-extended table it stays a
   // residual above the joins.
   for (const auto& c : where) {
-    if (null_extended_before(TablesOf(*s, *c), n)) {
+    if (null_extended(TablesOf(*s, *c), 1, n)) {
       s->residuals.push_back(c);
     } else {
       PlaceInner(s, c);
@@ -388,9 +386,12 @@ Status BindAndPlacePredicates(PlanState* s) {
   // ON of join t: an equality between t and the stream is a key of any
   // join. An INNER join places the rest like WHERE when no table they read
   // is null-extended before it; a conjunct over several tables also needs
-  // them never null-extended, as it becomes a residual or an earlier
-  // join's key. An outer join also takes a predicate local to its nullable
-  // side, which filters that side's scan; anything else it cannot evaluate.
+  // them not null-extended after it, as it becomes a residual or an earlier
+  // join's key. Otherwise the conjunct is a residual when no later join
+  // null-extends a table it reads, since until then the rows it filters
+  // keep their values and count. An outer join also takes a predicate local
+  // to its nullable side, which filters that side's scan; anything else it
+  // cannot evaluate.
   for (size_t t = 1; t < n; ++t) {
     if (!stmt.from[t].on) continue;
     ExprPtr on = CloneExpr(stmt.from[t].on);
@@ -402,10 +403,14 @@ Status BindAndPlacePredicates(PlanState* s) {
       std::set<size_t> tables = TablesOf(*s, *c);
       size_t last = *tables.rbegin();
       if (tables.size() == 2 && last == t && AddJoinKey(s, c)) continue;
-      bool early = null_extended_before(tables, t);
-      if (jt == JoinType::kInner && !early &&
-          (tables.size() == 1 || !null_extended_before(tables, n))) {
+      bool early = null_extended(tables, 1, t);
+      bool late = null_extended(tables, t + 1, n);
+      if (jt == JoinType::kInner && !early && (tables.size() == 1 || !late)) {
         PlaceInner(s, c);
+        continue;
+      }
+      if (jt == JoinType::kInner && !late) {
+        s->residuals.push_back(c);
         continue;
       }
       bool nullable_side = (jt == JoinType::kLeft && last == t) ||
@@ -746,40 +751,41 @@ std::vector<std::string> HashColumns(const ProjectionDef& p) {
   return cols;
 }
 
-/// Co-location: the stream is partitioned by the fact's segmentation, so
-/// unit u of table t holds every key unit u of the stream can match when t
-/// is replicated, or when the fact and t are segmented by HASH of exactly
-/// their sides of the edge between them, pair by pair, over the same units
-/// and ring offset.
-bool Colocated(const PlanState& s, size_t t, const std::vector<int>* fact_cols,
-               const std::vector<int>* t_cols) {
-  const ProjectionDef& fp = s.tables[s.fact()].projection;
-  const ProjectionDef& tp = s.tables[t].projection;
-  if (tp.segmentation.replicated) return true;
-  if (!fact_cols || s.tables[t].units.size() != s.tables[s.fact()].units.size() ||
-      tp.segmentation.node_offset != fp.segmentation.node_offset) {
+/// Do tables a and b split their rows alike over the units when `a_cols`
+/// equals `b_cols` pair by pair? Both must be segmented by HASH of exactly
+/// their side of the pairs, in the same order. A chosen segmented
+/// projection always has ring offset 0 and one unit per node
+/// (ChooseAccessPaths), so equal hashes land on equal units.
+bool SegmentedAlike(const PlanState& s, size_t a, const std::vector<int>& a_cols, size_t b,
+                    const std::vector<int>& b_cols) {
+  std::vector<std::string> aseg = HashColumns(s.tables[a].projection);
+  std::vector<std::string> bseg = HashColumns(s.tables[b].projection);
+  if (aseg.empty() || aseg.size() != a_cols.size() || bseg.size() != aseg.size())
     return false;
-  }
-  std::vector<std::string> fseg = HashColumns(fp), tseg = HashColumns(tp);
-  if (fseg.empty() || fseg.size() != fact_cols->size() || tseg.size() != fseg.size())
-    return false;
-  for (size_t i = 0; i < fseg.size(); ++i) {
+  for (size_t i = 0; i < aseg.size(); ++i) {
     size_t k = 0;
-    while (k < fact_cols->size() && BareName(s.schema.names[(*fact_cols)[k]]) != fseg[i]) ++k;
-    if (k == fact_cols->size() || BareName(s.schema.names[(*t_cols)[k]]) != tseg[i])
-      return false;
+    while (k < a_cols.size() && BareName(s.schema.names[a_cols[k]]) != aseg[i]) ++k;
+    if (k == a_cols.size() || BareName(s.schema.names[b_cols[k]]) != bseg[i]) return false;
   }
   return true;
 }
 
 /// Pass 6: one join step per table after the fact. A single pass over the
 /// edges gives the step's keys (from every edge to a table already in the
-/// stream) and its edge to the fact, which decides co-location and the SIP
-/// filter. A build side that is not co-located is gathered once and
-/// replayed by every unit (broadcast).
+/// stream), its edge to the fact for the SIP filter, and co-location. The
+/// stream is partitioned by the fact's segmentation, and, in the rows it
+/// can match, by that of every table co-located by segmentation before
+/// (`partitioned`): a join is co-located when its build is replicated or
+/// its edge to such a table is segmented alike. Any other build is
+/// gathered once and replayed by every unit (broadcast). A RIGHT or FULL
+/// join emits its unmatched build rows from every unit that holds them,
+/// so over more than one fact unit it needs a build co-located by
+/// segmentation.
 Status PlanJoins(PlanState* s) {
   const size_t fact = s->fact();
   std::vector<size_t> joined = {fact};
+  std::vector<char> partitioned(s->tables.size(), 0);
+  partitioned[fact] = 1;
   // Stream position of a combined-schema column of a joined table.
   auto stream_pos = [&](int col) -> int {
     size_t owner = s->TableOf(col);
@@ -796,7 +802,6 @@ Status PlanJoins(PlanState* s) {
     JoinStep step;
     step.jspec.type = slot.join_type;
     const std::vector<int>* fact_cols = nullptr;
-    const std::vector<int>* t_fact_cols = nullptr;
     for (const auto& edge : s->edges) {
       bool t_left = edge.left_table == t;
       if (!t_left && edge.right_table != t) continue;
@@ -808,14 +813,20 @@ Status PlanJoins(PlanState* s) {
         step.jspec.probe_keys.push_back(static_cast<uint32_t>(stream_pos(o_cols[k])));
         step.jspec.build_keys.push_back(static_cast<uint32_t>(s->ScanPos(t_cols[k])));
       }
-      if (other == fact) {
-        fact_cols = &o_cols;
-        t_fact_cols = &t_cols;
+      if (other == fact) fact_cols = &o_cols;
+      if (partitioned[other] && SegmentedAlike(*s, other, o_cols, t, t_cols)) {
+        partitioned[t] = 1;
       }
     }
     if (step.jspec.probe_keys.empty())
       return Status::NotImplemented("cross joins without predicates");
-    step.colocated = Colocated(*s, t, fact_cols, t_fact_cols);
+    step.colocated = partitioned[t] || slot.projection.segmentation.replicated;
+    const bool emits_unmatched_build =
+        step.jspec.type == JoinType::kRight || step.jspec.type == JoinType::kFull;
+    if (emits_unmatched_build && !partitioned[t] && s->tables[fact].units.size() > 1) {
+      return Status::NotImplemented(JoinTypeName(step.jspec.type), " join of ", slot.alias,
+                                    " whose build side is not segmented like the stream");
+    }
     // SIP: joins that filter probe rows install a filter on the fact scan,
     // shared by every unit's fact scan and filled from unit 0's build — so
     // a join co-located by segmentation, whose unit 0 build holds only that

@@ -214,8 +214,8 @@ class ColumnPruningTest : public ::testing::Test {
     }
   }
 
-  // An outer join's ON condition the engine cannot evaluate is refused on
-  // every database rather than answered wrongly.
+  // An ON condition the engine cannot evaluate is refused on every
+  // database rather than answered wrongly.
   static void ExpectNotImplementedEverywhere(const std::string& sql) {
     for (size_t i = 0; i < dbs_.size(); ++i) {
       SCOPED_TRACE(sql + " on " + kVariants[i].Name());
@@ -405,10 +405,11 @@ TEST_F(ColumnPruningTest, ColocatedSelfJoin) {
                    {{Int(n)}});
 }
 
-// The stream is partitioned by the fact's segmentation, so only a join
-// whose edge to the fact is segmented alike on both sides is co-located.
-// ct and co are segmented alike on their own join key, but the ct-co join
-// must still broadcast. Both conjunct orders must agree.
+// The stream is partitioned by the fact's segmentation, so a join is
+// co-located only through an edge, segmented alike on both sides, to the
+// fact or to a table already co-located with it that way. ct and co are
+// segmented alike on their own join key, but ct broadcasts, so the ct-co
+// join must broadcast too. Both conjunct orders must agree.
 TEST_F(ColumnPruningTest, ColocationFollowsFactEdgeFactKeyFirst) {
   ExpectEverywhere("SELECT COUNT(*) FROM cf, ct, co WHERE cf.fk = ct.k AND ct.j = co.j",
                    {{Int(kStarFactRows)}});
@@ -417,6 +418,48 @@ TEST_F(ColumnPruningTest, ColocationFollowsFactEdgeFactKeyFirst) {
 TEST_F(ColumnPruningTest, ColocationFollowsFactEdgeFactKeyLast) {
   ExpectEverywhere("SELECT COUNT(*) FROM cf, ct, co WHERE ct.j = co.j AND cf.fk = ct.k",
                    {{Int(kStarFactRows)}});
+}
+
+// co is co-located with cf on cf.fk = co.j, so the stream is partitioned by
+// HASH(co.j) too, and ct joins co-located through co. Each unit emits the
+// unmatched ct rows of its own segment once: 50 ct rows match 30 cf rows
+// each and 50 match none.
+TEST_F(ColumnPruningTest, RightJoinColocatedThroughAStreamTable) {
+  ExpectEverywhere(
+      "SELECT COUNT(*), COUNT(co.j) FROM cf JOIN co ON cf.fk = co.j AND co.x < 50 "
+      "RIGHT JOIN ct ON co.j = ct.j",
+      {{Int(50 * kStarFactRows / kStarDimRows + 50), Int(50 * kStarFactRows / kStarDimRows)}});
+}
+
+// A RIGHT or FULL join's build that is not segmented like the stream would
+// emit its unmatched rows once per fact unit; with one unit the answer is
+// right, with several the join is refused.
+TEST_F(ColumnPruningTest, OuterJoinWithBroadcastBuildNeedsOneFactUnit) {
+  std::vector<Row> right, full;
+  for (int64_t k = 0; k < kOuterFactRows; ++k) {
+    if (k < kOuterDimRows) right.push_back({Int(k), Int(k)});
+    full.push_back({Int(k), k < kOuterDimRows ? Int(k) : NullInt()});
+  }
+  const std::pair<std::string, std::vector<Row>> cases[] = {
+      {"SELECT lf.k, ld.k FROM lf RIGHT JOIN ld ON lf.p = ld.k", right},
+      {"SELECT lf.k, ld.k FROM lf FULL JOIN ld ON lf.p = ld.k", full},
+  };
+  for (const auto& [sql, expected] : cases) {
+    for (size_t i = 0; i < dbs_.size(); ++i) {
+      SCOPED_TRACE(sql + " on " + kVariants[i].Name());
+      auto r = dbs_[i]->Execute(sql);
+      if (kVariants[i].nodes > 1) {
+        ASSERT_FALSE(r.ok());
+        EXPECT_EQ(r.status().code(), StatusCode::kNotImplemented) << r.status().ToString();
+        continue;
+      }
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      std::vector<std::string> got = Rendered(r.value()), want = Rendered(expected);
+      std::sort(got.begin(), got.end());
+      std::sort(want.begin(), want.end());
+      EXPECT_EQ(got, want);
+    }
+  }
 }
 
 // Outer-join predicate placement. A WHERE conjunct on a null-extended side
@@ -462,6 +505,30 @@ TEST_F(ColumnPruningTest, FullJoinWhereOnNullableSide) {
 TEST_F(ColumnPruningTest, RightJoinWhereIsNullOnNullableSide) {
   ExpectEverywhere(
       "SELECT lf.k, ld.k FROM lf RIGHT JOIN ld ON lf.k = ld.k WHERE lf.p IS NULL", {});
+}
+
+// An INNER join's ON conjunct on a table an earlier LEFT join null-extends
+// filters the joined rows: with no later join null-extending its tables it
+// is a residual above the joins, not a filter on that table's scan.
+TEST_F(ColumnPruningTest, InnerJoinOnConjunctOverNullExtendedTableIsResidual) {
+  std::vector<Row> null_names, matched;
+  for (int64_t k = 3; k < kOuterFactRows; ++k) null_names.push_back({Int(k), NullStr()});
+  for (int64_t k = 0; k < kOuterDimRows; ++k) matched.push_back({Int(k)});
+  ExpectEverywhere(
+      "SELECT lf.k, ld.dname FROM lf LEFT JOIN ld ON lf.k = ld.k "
+      "JOIN co ON lf.k = co.j AND ld.dname IS NULL",
+      null_names);
+  ExpectEverywhere(
+      "SELECT lf.k FROM lf LEFT JOIN ld ON lf.k = ld.k JOIN co ON lf.k = co.j AND ld.k <= co.x",
+      matched);
+}
+
+// A later RIGHT join null-extends the tables the conjunct reads, so no
+// residual above the joins gives the INNER join's rows; it is refused.
+TEST_F(ColumnPruningTest, InnerJoinOnConjunctBeforeRightJoinIsRefused) {
+  ExpectNotImplementedEverywhere(
+      "SELECT COUNT(*) FROM lf JOIN co ON lf.k = co.j AND lf.p < co.x "
+      "RIGHT JOIN ld ON lf.k = ld.k");
 }
 
 // The Q1 shape of the paper's Table 3 on a 4-column table: the scan emits
