@@ -1090,8 +1090,7 @@ Result<OperatorPtr> LowerAggregation(const PlanState& s, PhysicalPlan* plan) {
   for (const auto& call : stmt.having_aggs) STRATICA_RETURN_NOT_OK(add_agg(call));
 
   // Pipeline per unit: ExprEval computing (group keys..., agg args...),
-  // then partial aggregation; prepass under intra-node parallel regions is
-  // exercised by the bench harness via this same operator stack.
+  // then a partial HashGroupBy; the initiator combines the partials.
   bool partialable = true;
   for (const auto& a : aggs) partialable &= a.Partialable();
 

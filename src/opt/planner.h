@@ -6,9 +6,10 @@
 // table; like V2Opt it plans by physical properties (column selectivity,
 // projection sort order, data segmentation) and plans distribution:
 // co-located joins and aggregations run fully local per node, otherwise the
-// smaller side is broadcast; aggregation is two-stage (local partial +
-// final combine) with prepass operators under intra-node parallel scan
-// pipelines (Figure 3). When nodes are down, plans transparently replace a
+// smaller side is broadcast; aggregation is two-stage hash aggregation
+// (a partial HashGroupBy per unit pipeline, or per morsel fragment under
+// intra-node fan-out as in Figure 3, then one combining HashGroupBy at the
+// initiator). When nodes are down, plans transparently replace a
 // projection's storage with its buddy's on a surviving node and re-cost.
 //
 // Techniques implemented from the paper's list: projection selection with
@@ -16,8 +17,9 @@
 // columns the query reads), predicate pushdown with min/max prune
 // bounds, transitive predicates across join keys, outer-to-inner join
 // conversion under null-rejecting WHERE clauses, SIP filter placement,
-// pipelined (sort-exploiting) aggregation, sort elimination, late
-// materialization at the scan, and runtime-adaptive prepass aggregation.
+// sort elimination, and late materialization at the scan. The pipelined
+// (sort-exploiting) and prepass GroupBy operators of exec/group_by.h are
+// not planned: SQL plans aggregate with HashGroupByOperator only.
 #ifndef STRATICA_OPT_PLANNER_H_
 #define STRATICA_OPT_PLANNER_H_
 

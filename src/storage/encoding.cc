@@ -371,192 +371,29 @@ Status EncodeCommonDelta(const ColumnVector& col, size_t start, size_t count,
   return HuffmanEncode(symbols, static_cast<uint32_t>(dict.size()), out);
 }
 
-// --- decoders ---------------------------------------------------------------
-
-Status DecodePlain(const std::string& data, size_t* offset, size_t count,
-                   ColumnVector* out) {
-  if (count == 0) return Status::OK();  // memcpy from an empty vector is UB
-  switch (StorageClassOf(out->type)) {
-    case StorageClass::kInt64: {
-      size_t bytes = count * sizeof(int64_t);
-      if (*offset + bytes > data.size()) return Status::Corruption("plain: truncated");
-      size_t old = out->ints.size();
-      out->ints.resize(old + count);
-      std::memcpy(out->ints.data() + old, data.data() + *offset, bytes);
-      *offset += bytes;
-      return Status::OK();
-    }
-    case StorageClass::kFloat64: {
-      size_t bytes = count * sizeof(double);
-      if (*offset + bytes > data.size()) return Status::Corruption("plain: truncated");
-      size_t old = out->doubles.size();
-      out->doubles.resize(old + count);
-      std::memcpy(out->doubles.data() + old, data.data() + *offset, bytes);
-      *offset += bytes;
-      return Status::OK();
-    }
-    case StorageClass::kString:
-      for (size_t i = 0; i < count; ++i) {
-        uint64_t len;
-        if (!GetVarint64(data, offset, &len) || *offset + len > data.size())
-          return Status::Corruption("plain: bad string");
-        out->strings.emplace_back(data, *offset, len);
-        *offset += len;
-      }
-      return Status::OK();
-  }
-  return Status::Internal("bad storage class");
-}
-
-Status DecodeRle(const std::string& data, size_t* offset, ColumnVector* out,
-                 bool keep_runs) {
-  uint64_t num_runs;
-  if (!GetVarint64(data, offset, &num_runs)) return Status::Corruption("rle: bad header");
-  for (uint64_t r = 0; r < num_runs; ++r) {
-    STRATICA_RETURN_NOT_OK(GetScalar(data, offset, out));
-    uint64_t run_len;
-    if (!GetVarint64(data, offset, &run_len)) return Status::Corruption("rle: bad run");
-    if (keep_runs) {
-      if (out->runs.size() + 1 < out->PhysicalSize())
-        out->runs.resize(out->PhysicalSize() - 1, 1);
-      out->runs.push_back(static_cast<uint32_t>(run_len));
-    } else {
-      // Expand: the scalar was appended once; append run_len-1 more copies.
-      for (uint64_t k = 1; k < run_len; ++k) {
-        switch (StorageClassOf(out->type)) {
-          case StorageClass::kInt64: out->ints.push_back(out->ints.back()); break;
-          case StorageClass::kFloat64: out->doubles.push_back(out->doubles.back()); break;
-          case StorageClass::kString: out->strings.push_back(out->strings.back()); break;
-        }
-      }
-    }
-  }
-  return Status::OK();
-}
-
-Status DecodeDeltaValue(const std::string& data, size_t* offset, size_t count,
-                        ColumnVector* out) {
-  uint64_t zz;
-  if (!GetVarint64(data, offset, &zz)) return Status::Corruption("deltaval: bad min");
-  int64_t min = ZigZagDecode(zz);
-  if (*offset >= data.size()) return Status::Corruption("deltaval: bad width");
-  int width = static_cast<uint8_t>(data[(*offset)++]);
-  if (width == 0) {
-    out->ints.insert(out->ints.end(), count, min);
-    return Status::OK();
-  }
-  BitUnpacker unpacker(data, *offset, width);
-  for (size_t i = 0; i < count; ++i)
-    out->ints.push_back(
-        static_cast<int64_t>(static_cast<uint64_t>(min) + unpacker.Next()));
-  *offset = unpacker.position();
-  return Status::OK();
-}
-
-// Shared BlockDict header parse (dictionary + index bit width) and entry
-// emission, used by the full and the selective decoder so the layout and
-// the bounds-checked dispatch each live in one place.
-Status ParseDictHeader(const std::string& data, size_t* offset, ColumnVector* dict,
-                       uint64_t* dict_size, int* width) {
-  if (!GetVarint64(data, offset, dict_size)) return Status::Corruption("dict: bad size");
-  for (uint64_t i = 0; i < *dict_size; ++i)
-    STRATICA_RETURN_NOT_OK(GetScalar(data, offset, dict));
-  if (*offset >= data.size()) return Status::Corruption("dict: bad width");
-  *width = static_cast<uint8_t>(data[(*offset)++]);
-  return Status::OK();
-}
-
-Status EmitDictEntry(const ColumnVector& dict, uint64_t idx, ColumnVector* out) {
-  if (idx >= dict.PhysicalSize()) return Status::Corruption("dict: index out of range");
-  switch (StorageClassOf(out->type)) {
-    case StorageClass::kInt64: out->ints.push_back(dict.ints[idx]); break;
-    case StorageClass::kFloat64: out->doubles.push_back(dict.doubles[idx]); break;
-    case StorageClass::kString: out->strings.push_back(dict.strings[idx]); break;
-  }
-  return Status::OK();
-}
-
-Status DecodeBlockDict(const std::string& data, size_t* offset, size_t count,
-                       ColumnVector* out) {
-  uint64_t dict_size;
-  ColumnVector dict(out->type);
-  int width;
-  STRATICA_RETURN_NOT_OK(ParseDictHeader(data, offset, &dict, &dict_size, &width));
-  if (width == 0) {
-    for (size_t i = 0; i < count; ++i) STRATICA_RETURN_NOT_OK(EmitDictEntry(dict, 0, out));
-    return Status::OK();
-  }
-  BitUnpacker unpacker(data, *offset, width);
-  for (size_t i = 0; i < count; ++i)
-    STRATICA_RETURN_NOT_OK(EmitDictEntry(dict, unpacker.Next(), out));
-  *offset = unpacker.position();
-  return Status::OK();
-}
-
-Status DecodeDeltaRange(const std::string& data, size_t* offset, size_t count,
-                        ColumnVector* out) {
-  if (StorageClassOf(out->type) == StorageClass::kInt64) {
-    uint64_t zz;
-    if (!GetVarint64(data, offset, &zz)) return Status::Corruption("deltarange: bad first");
-    int64_t prev = ZigZagDecode(zz);
-    out->ints.push_back(prev);
-    for (size_t i = 1; i < count; ++i) {
-      if (!GetVarint64(data, offset, &zz))
-        return Status::Corruption("deltarange: bad delta");
-      prev = static_cast<int64_t>(static_cast<uint64_t>(prev) +
-                                  static_cast<uint64_t>(ZigZagDecode(zz)));
-      out->ints.push_back(prev);
-    }
-  } else {
-    uint64_t prev;
-    if (!GetFixed(data, offset, &prev)) return Status::Corruption("deltarange: bad first");
-    out->doubles.push_back(OrderedKeyToDouble(prev));
-    for (size_t i = 1; i < count; ++i) {
-      uint64_t zz;
-      if (!GetVarint64(data, offset, &zz))
-        return Status::Corruption("deltarange: bad delta");
-      prev += static_cast<uint64_t>(ZigZagDecode(zz));
-      out->doubles.push_back(OrderedKeyToDouble(prev));
-    }
-  }
-  return Status::OK();
-}
-
-Status DecodeCommonDelta(const std::string& data, size_t* offset, size_t count,
-                         ColumnVector* out) {
-  uint64_t zz;
-  if (!GetVarint64(data, offset, &zz)) return Status::Corruption("commondelta: bad first");
-  int64_t value = ZigZagDecode(zz);
-  out->ints.push_back(value);
-  uint64_t dict_size;
-  if (!GetVarint64(data, offset, &dict_size))
-    return Status::Corruption("commondelta: bad dict");
-  if (count <= 1) return Status::OK();
-  std::vector<int64_t> dict(dict_size);
-  for (auto& d : dict) {
-    if (!GetVarint64(data, offset, &zz))
-      return Status::Corruption("commondelta: bad dict entry");
-    d = ZigZagDecode(zz);
-  }
-  std::vector<uint32_t> symbols;
-  STRATICA_RETURN_NOT_OK(HuffmanDecode(data, offset, &symbols));
-  if (symbols.size() != count - 1) return Status::Corruption("commondelta: count mismatch");
-  for (uint32_t s : symbols) {
-    if (s >= dict.size()) return Status::Corruption("commondelta: bad symbol");
-    value = static_cast<int64_t>(static_cast<uint64_t>(value) +
-                                 static_cast<uint64_t>(dict[s]));
-    out->ints.push_back(value);
-  }
-  return Status::OK();
-}
-
-// --- selective decoders (late materialization, DESIGN.md §7) ----------------
+// --- decoders (late materialization, DESIGN.md §7) -------------------------
 //
-// Each mirrors its full decoder but materializes only entries with
+// One decoder per encoding. `sel` is the optional row selection: the
+// kSel = false instantiation decodes every row (sel is null and the
+// selection tests compile away); kSel = true materializes only entries with
 // sel[i] != 0. Sequentially-dependent encodings (delta chains) still walk
 // the stream, but stop doing arithmetic after the last selected position and
 // never append dead values; positionally-addressable encodings (plain
-// scalars, bit-packed slots) touch only the selected slots.
+// scalars, bit-packed slots) touch only the selected slots. Either way the
+// decoder consumes the whole payload and checks it against the row count.
+
+template <bool kSel>
+bool Keep(const uint8_t* sel, size_t i) {
+  return !kSel || sel[i] != 0;
+}
+
+/// One past the last row the decoder must produce (0 when none is selected).
+template <bool kSel>
+size_t SelectionEnd(const uint8_t* sel, size_t count) {
+  if (!kSel) return count;
+  while (count > 0 && !sel[count - 1]) --count;
+  return count;
+}
 
 /// Advance past one LEB128 varint without decoding it.
 bool SkipVarint(const std::string& data, size_t* offset) {
@@ -568,43 +405,37 @@ bool SkipVarint(const std::string& data, size_t* offset) {
   return false;
 }
 
-/// Index of the last set entry, or SIZE_MAX when none are.
-size_t LastSelected(const std::vector<uint8_t>& sel) {
-  for (size_t i = sel.size(); i > 0; --i) {
-    if (sel[i - 1]) return i - 1;
+template <bool kSel, typename T>
+Status DecodeFixed(const std::string& data, size_t* offset, size_t count,
+                   const uint8_t* sel, std::vector<T>* out) {
+  size_t bytes = count * sizeof(T);
+  if (*offset + bytes > data.size()) return Status::Corruption("plain: truncated");
+  const char* base = data.data() + *offset;
+  *offset += bytes;
+  if (!kSel) {
+    if (count == 0) return Status::OK();  // memcpy into an empty vector is UB
+    size_t old = out->size();
+    out->resize(old + count);
+    std::memcpy(out->data() + old, base, bytes);
+    return Status::OK();
   }
-  return SIZE_MAX;
+  for (size_t i = 0; i < count; ++i) {
+    if (!Keep<kSel>(sel, i)) continue;
+    T v;
+    std::memcpy(&v, base + i * sizeof(T), sizeof(T));
+    out->push_back(v);
+  }
+  return Status::OK();
 }
 
-Status DecodePlainSelected(const std::string& data, size_t* offset, size_t count,
-                           const std::vector<uint8_t>& sel, ColumnVector* out) {
+template <bool kSel>
+Status DecodePlain(const std::string& data, size_t* offset, size_t count,
+                   const uint8_t* sel, ColumnVector* out) {
   switch (StorageClassOf(out->type)) {
-    case StorageClass::kInt64: {
-      size_t bytes = count * sizeof(int64_t);
-      if (*offset + bytes > data.size()) return Status::Corruption("plain: truncated");
-      const char* base = data.data() + *offset;
-      for (size_t i = 0; i < count; ++i) {
-        if (!sel[i]) continue;
-        int64_t v;
-        std::memcpy(&v, base + i * sizeof(int64_t), sizeof(v));
-        out->ints.push_back(v);
-      }
-      *offset += bytes;
-      return Status::OK();
-    }
-    case StorageClass::kFloat64: {
-      size_t bytes = count * sizeof(double);
-      if (*offset + bytes > data.size()) return Status::Corruption("plain: truncated");
-      const char* base = data.data() + *offset;
-      for (size_t i = 0; i < count; ++i) {
-        if (!sel[i]) continue;
-        double v;
-        std::memcpy(&v, base + i * sizeof(double), sizeof(v));
-        out->doubles.push_back(v);
-      }
-      *offset += bytes;
-      return Status::OK();
-    }
+    case StorageClass::kInt64:
+      return DecodeFixed<kSel>(data, offset, count, sel, &out->ints);
+    case StorageClass::kFloat64:
+      return DecodeFixed<kSel>(data, offset, count, sel, &out->doubles);
     case StorageClass::kString:
       // Unselected strings are skipped by length — their bytes are never
       // copied out of the block buffer.
@@ -612,7 +443,7 @@ Status DecodePlainSelected(const std::string& data, size_t* offset, size_t count
         uint64_t len;
         if (!GetVarint64(data, offset, &len) || *offset + len > data.size())
           return Status::Corruption("plain: bad string");
-        if (sel[i]) out->strings.emplace_back(data, *offset, len);
+        if (Keep<kSel>(sel, i)) out->strings.emplace_back(data, *offset, len);
         *offset += len;
       }
       return Status::OK();
@@ -620,8 +451,11 @@ Status DecodePlainSelected(const std::string& data, size_t* offset, size_t count
   return Status::Internal("bad storage class");
 }
 
-Status DecodeRleSelected(const std::string& data, size_t* offset, size_t count,
-                         const std::vector<uint8_t>& sel, ColumnVector* out) {
+/// `keep_runs` appends each surviving run once and records its length in
+/// `out->runs` instead of expanding it (never combined with a selection).
+template <bool kSel>
+Status DecodeRle(const std::string& data, size_t* offset, size_t count,
+                 const uint8_t* sel, bool keep_runs, ColumnVector* out) {
   uint64_t num_runs;
   if (!GetVarint64(data, offset, &num_runs)) return Status::Corruption("rle: bad header");
   StorageClass sc = StorageClassOf(out->type);
@@ -652,121 +486,152 @@ Status DecodeRleSelected(const std::string& data, size_t* offset, size_t count,
     }
     uint64_t run_len;
     if (!GetVarint64(data, offset, &run_len)) return Status::Corruption("rle: bad run");
-    if (pos + run_len > count) return Status::Corruption("rle: run overflows block");
-    size_t take = 0;
-    for (size_t i = 0; i < run_len; ++i) take += sel[pos + i] != 0;
-    if (take > 0) {  // dead runs are skipped wholesale
-      switch (sc) {
-        case StorageClass::kInt64: out->ints.insert(out->ints.end(), take, iv); break;
-        case StorageClass::kFloat64:
-          out->doubles.insert(out->doubles.end(), take, dv);
-          break;
-        case StorageClass::kString:
-          out->strings.insert(out->strings.end(), take,
-                              std::string(data, str_at, str_len));
-          break;
-      }
+    if (run_len > count - pos) return Status::Corruption("rle: run overflows block");
+    size_t take = run_len;
+    if (kSel) {
+      take = 0;
+      for (size_t i = 0; i < run_len; ++i) take += sel[pos + i] != 0;
     }
     pos += run_len;
+    if (take == 0) continue;  // dead runs are skipped wholesale
+    if (keep_runs) {
+      out->runs.resize(out->PhysicalSize(), 1);
+      out->runs.push_back(static_cast<uint32_t>(run_len));
+      take = 1;
+    }
+    switch (sc) {
+      case StorageClass::kInt64: out->ints.insert(out->ints.end(), take, iv); break;
+      case StorageClass::kFloat64:
+        out->doubles.insert(out->doubles.end(), take, dv);
+        break;
+      case StorageClass::kString:
+        out->strings.insert(out->strings.end(), take, std::string(data, str_at, str_len));
+        break;
+    }
   }
   if (pos != count) return Status::Corruption("rle: row count mismatch");
   return Status::OK();
 }
 
-Status DecodeDeltaValueSelected(const std::string& data, size_t* offset, size_t count,
-                                const std::vector<uint8_t>& sel, ColumnVector* out) {
+/// Shared bit-packed payload walk of DeltaValue and BlockDict: hands every
+/// selected `width`-bit slot to `emit`, rejecting values above `max_value`,
+/// and advances `*offset` past the whole payload.
+template <bool kSel, typename Emit>
+Status DecodePacked(const std::string& data, size_t* offset, size_t count, int width,
+                    uint64_t max_value, const uint8_t* sel, Emit emit) {
+  if (width > 64) return Status::Corruption("packed: bad width");
+  size_t payload = PackedBytes(count, width);
+  if (*offset + payload > data.size()) return Status::Corruption("packed: truncated");
+  const char* base = data.data() + *offset;
+  for (size_t i = 0; i < count; ++i) {
+    if (!Keep<kSel>(sel, i)) continue;
+    uint64_t v = ReadPackedBits(base, payload, i * static_cast<size_t>(width), width);
+    if (v > max_value) return Status::Corruption("packed: value out of range");
+    emit(v);
+  }
+  *offset += payload;
+  return Status::OK();
+}
+
+template <bool kSel>
+Status DecodeDeltaValue(const std::string& data, size_t* offset, size_t count,
+                        const uint8_t* sel, ColumnVector* out) {
   uint64_t zz;
   if (!GetVarint64(data, offset, &zz)) return Status::Corruption("deltaval: bad min");
-  int64_t min = ZigZagDecode(zz);
+  uint64_t min = static_cast<uint64_t>(ZigZagDecode(zz));
   if (*offset >= data.size()) return Status::Corruption("deltaval: bad width");
   int width = static_cast<uint8_t>(data[(*offset)++]);
-  if (width == 0) {
-    size_t take = 0;
-    for (uint8_t s : sel) take += s != 0;
-    out->ints.insert(out->ints.end(), take, min);
-    return Status::OK();
-  }
-  size_t payload = PackedBytes(count, width);
-  if (*offset + payload > data.size()) return Status::Corruption("deltaval: truncated");
-  const char* base = data.data() + *offset;
-  for (size_t i = 0; i < count; ++i) {  // bit-unpacks only the selected slots
-    if (!sel[i]) continue;
-    out->ints.push_back(static_cast<int64_t>(
-        static_cast<uint64_t>(min) +
-        ReadPackedBits(base, i * static_cast<size_t>(width), width)));
-  }
-  *offset += payload;
-  return Status::OK();
+  return DecodePacked<kSel>(data, offset, count, width, UINT64_MAX, sel, [&](uint64_t v) {
+    out->ints.push_back(static_cast<int64_t>(min + v));
+  });
 }
 
-Status DecodeBlockDictSelected(const std::string& data, size_t* offset, size_t count,
-                               const std::vector<uint8_t>& sel, ColumnVector* out) {
+/// `keep_codes` appends per-row dictionary codes to `out->ints` and hands
+/// the block's dictionary (in stored order) to `out->dict` instead of
+/// expanding values; `out` must be empty.
+template <bool kSel>
+Status DecodeBlockDict(const std::string& data, size_t* offset, size_t count,
+                       const uint8_t* sel, bool keep_codes, ColumnVector* out) {
   uint64_t dict_size;
+  if (!GetVarint64(data, offset, &dict_size)) return Status::Corruption("dict: bad size");
   ColumnVector dict(out->type);
-  int width;
-  STRATICA_RETURN_NOT_OK(ParseDictHeader(data, offset, &dict, &dict_size, &width));
-  if (width == 0) {
-    for (size_t i = 0; i < count; ++i) {
-      if (sel[i]) STRATICA_RETURN_NOT_OK(EmitDictEntry(dict, 0, out));
-    }
+  for (uint64_t i = 0; i < dict_size; ++i)
+    STRATICA_RETURN_NOT_OK(GetScalar(data, offset, &dict));
+  if (*offset >= data.size()) return Status::Corruption("dict: bad width");
+  int width = static_cast<uint8_t>(data[(*offset)++]);
+  if (count > 0 && dict_size == 0) return Status::Corruption("dict: empty");
+  uint64_t max_code = dict_size - 1;
+  if (keep_codes) {
+    out->ints.reserve(count);
+    STRATICA_RETURN_NOT_OK(DecodePacked<kSel>(
+        data, offset, count, width, max_code, sel,
+        [&](uint64_t c) { out->ints.push_back(static_cast<int64_t>(c)); }));
+    out->dict = std::make_shared<const ColumnVector>(std::move(dict));
     return Status::OK();
   }
-  size_t payload = PackedBytes(count, width);
-  if (*offset + payload > data.size()) return Status::Corruption("dict: truncated");
-  const char* base = data.data() + *offset;
-  for (size_t i = 0; i < count; ++i) {  // materializes only selected codes
-    if (!sel[i]) continue;
-    STRATICA_RETURN_NOT_OK(EmitDictEntry(
-        dict, ReadPackedBits(base, i * static_cast<size_t>(width), width), out));
+  switch (StorageClassOf(out->type)) {
+    case StorageClass::kInt64:
+      return DecodePacked<kSel>(data, offset, count, width, max_code, sel,
+                                [&](uint64_t c) { out->ints.push_back(dict.ints[c]); });
+    case StorageClass::kFloat64:
+      return DecodePacked<kSel>(data, offset, count, width, max_code, sel,
+                                [&](uint64_t c) { out->doubles.push_back(dict.doubles[c]); });
+    case StorageClass::kString:
+      return DecodePacked<kSel>(data, offset, count, width, max_code, sel,
+                                [&](uint64_t c) { out->strings.push_back(dict.strings[c]); });
   }
-  *offset += payload;
-  return Status::OK();
+  return Status::Internal("bad storage class");
 }
 
-Status DecodeDeltaRangeSelected(const std::string& data, size_t* offset, size_t count,
-                                const std::vector<uint8_t>& sel, ColumnVector* out) {
-  size_t last = LastSelected(sel);
+template <bool kSel>
+Status DecodeDeltaRange(const std::string& data, size_t* offset, size_t count,
+                        const uint8_t* sel, ColumnVector* out) {
+  // The chain walks a local cursor: appends to `out` cannot alias it.
+  size_t pos = *offset;
+  size_t end = SelectionEnd<kSel>(sel, count);
   size_t i = 1;
   if (StorageClassOf(out->type) == StorageClass::kInt64) {
     uint64_t zz;
-    if (!GetVarint64(data, offset, &zz)) return Status::Corruption("deltarange: bad first");
+    if (!GetVarint64(data, &pos, &zz)) return Status::Corruption("deltarange: bad first");
     int64_t prev = ZigZagDecode(zz);
-    if (count > 0 && sel[0]) out->ints.push_back(prev);
-    for (; last != SIZE_MAX && i <= last; ++i) {
-      if (!GetVarint64(data, offset, &zz))
+    if (count > 0 && Keep<kSel>(sel, 0)) out->ints.push_back(prev);
+    for (; i < end; ++i) {
+      if (!GetVarint64(data, &pos, &zz))
         return Status::Corruption("deltarange: bad delta");
       prev = static_cast<int64_t>(static_cast<uint64_t>(prev) +
                                   static_cast<uint64_t>(ZigZagDecode(zz)));
-      if (sel[i]) out->ints.push_back(prev);
+      if (Keep<kSel>(sel, i)) out->ints.push_back(prev);
     }
   } else {
     uint64_t prev;
-    if (!GetFixed(data, offset, &prev)) return Status::Corruption("deltarange: bad first");
-    if (count > 0 && sel[0]) out->doubles.push_back(OrderedKeyToDouble(prev));
-    for (; last != SIZE_MAX && i <= last; ++i) {
+    if (!GetFixed(data, &pos, &prev)) return Status::Corruption("deltarange: bad first");
+    if (count > 0 && Keep<kSel>(sel, 0)) out->doubles.push_back(OrderedKeyToDouble(prev));
+    for (; i < end; ++i) {
       uint64_t zz;
-      if (!GetVarint64(data, offset, &zz))
+      if (!GetVarint64(data, &pos, &zz))
         return Status::Corruption("deltarange: bad delta");
       prev += static_cast<uint64_t>(ZigZagDecode(zz));
-      if (sel[i]) out->doubles.push_back(OrderedKeyToDouble(prev));
+      if (Keep<kSel>(sel, i)) out->doubles.push_back(OrderedKeyToDouble(prev));
     }
   }
   // Past the last selected position the deltas are dead weight: skip their
   // varint bytes without zigzag/accumulate work.
   for (; i < count; ++i) {
-    if (!SkipVarint(data, offset)) return Status::Corruption("deltarange: bad delta");
+    if (!SkipVarint(data, &pos)) return Status::Corruption("deltarange: bad delta");
   }
+  *offset = pos;
   return Status::OK();
 }
 
-Status DecodeCommonDeltaSelected(const std::string& data, size_t* offset, size_t count,
-                                 const std::vector<uint8_t>& sel, ColumnVector* out) {
+template <bool kSel>
+Status DecodeCommonDelta(const std::string& data, size_t* offset, size_t count,
+                         const uint8_t* sel, ColumnVector* out) {
   uint64_t zz;
   if (!GetVarint64(data, offset, &zz)) return Status::Corruption("commondelta: bad first");
   int64_t value = ZigZagDecode(zz);
-  if (count > 0 && sel[0]) out->ints.push_back(value);
+  if (count > 0 && Keep<kSel>(sel, 0)) out->ints.push_back(value);
   uint64_t dict_size;
-  if (!GetVarint64(data, offset, &dict_size))
+  if (!GetVarint64(data, offset, &dict_size) || dict_size > data.size() - *offset)
     return Status::Corruption("commondelta: bad dict");
   if (count <= 1) return Status::OK();
   std::vector<int64_t> dict(dict_size);
@@ -780,15 +645,38 @@ Status DecodeCommonDeltaSelected(const std::string& data, size_t* offset, size_t
   std::vector<uint32_t> symbols;
   STRATICA_RETURN_NOT_OK(HuffmanDecode(data, offset, &symbols));
   if (symbols.size() != count - 1) return Status::Corruption("commondelta: count mismatch");
-  size_t last = LastSelected(sel);
-  for (size_t r = 1; last != SIZE_MAX && r <= last; ++r) {
+  size_t end = SelectionEnd<kSel>(sel, count);
+  for (size_t r = 1; r < end; ++r) {
     uint32_t s = symbols[r - 1];
     if (s >= dict.size()) return Status::Corruption("commondelta: bad symbol");
     value = static_cast<int64_t>(static_cast<uint64_t>(value) +
                                  static_cast<uint64_t>(dict[s]));
-    if (sel[r]) out->ints.push_back(value);
+    if (Keep<kSel>(sel, r)) out->ints.push_back(value);
   }
   return Status::OK();
+}
+
+/// Decode one block payload of encoding `enc`; `keep_encoded` keeps RLE runs
+/// and BlockDict codes (see DecodeRle / DecodeBlockDict).
+template <bool kSel>
+Status DecodePayload(EncodingId enc, const std::string& data, size_t* offset,
+                     size_t count, const uint8_t* sel, bool keep_runs,
+                     bool keep_codes, ColumnVector* out) {
+  switch (enc) {
+    case EncodingId::kPlain: return DecodePlain<kSel>(data, offset, count, sel, out);
+    case EncodingId::kRle:
+      return DecodeRle<kSel>(data, offset, count, sel, keep_runs, out);
+    case EncodingId::kDeltaValue:
+      return DecodeDeltaValue<kSel>(data, offset, count, sel, out);
+    case EncodingId::kBlockDict:
+      return DecodeBlockDict<kSel>(data, offset, count, sel, keep_codes, out);
+    case EncodingId::kCompressedDeltaRange:
+      return DecodeDeltaRange<kSel>(data, offset, count, sel, out);
+    case EncodingId::kCompressedCommonDelta:
+      return DecodeCommonDelta<kSel>(data, offset, count, sel, out);
+    case EncodingId::kAuto: break;
+  }
+  return Status::Corruption("block: bad encoding");
 }
 
 Status EncodeWith(EncodingId enc, const ColumnVector& col, size_t start, size_t count,
@@ -869,11 +757,12 @@ Status EncodeBlock(EncodingId enc, const ColumnVector& col, size_t start, size_t
 }
 
 namespace {
-// Shared block framing for full, runs-preserving, and selective decode:
-// `sel` (nullable) engages the selective decoders; an all-ones selection
-// falls through to the full decoders (callers never keep runs AND select).
+// Shared block framing of every decode path: `sel` (null: every row)
+// picks the selective instantiation of the payload decoders, and
+// `keep_encoded` keeps RLE runs (NULL-free blocks only, the common case for
+// sort-key columns) and BlockDict codes instead of expanding values.
 Status DecodeBlockImpl(const std::string& data, size_t* offset, TypeId type,
-                       ColumnVector* out, bool keep_runs,
+                       ColumnVector* out, bool keep_encoded,
                        const std::vector<uint8_t>* sel) {
   if (*offset >= data.size()) return Status::Corruption("block: empty");
   auto enc = static_cast<EncodingId>(data[(*offset)++]);
@@ -885,51 +774,17 @@ Status DecodeBlockImpl(const std::string& data, size_t* offset, TypeId type,
   STRATICA_RETURN_NOT_OK(ReadNullSection(data, offset, count, &nulls));
   out->type = type;
 
-  bool dense = true;
-  if (sel != nullptr) {
-    for (uint8_t s : *sel) dense = dense && s != 0;
-  }
   size_t phys_before = out->PhysicalSize();
-  // Runs only survive when the block is RLE and carries no NULLs (the common
-  // case for sort-key columns, which is where the RLE fast paths matter).
-  keep_runs = keep_runs && enc == EncodingId::kRle && nulls.empty();
-  switch (enc) {
-    case EncodingId::kPlain:
-      STRATICA_RETURN_NOT_OK(dense
-                                 ? DecodePlain(data, offset, count, out)
-                                 : DecodePlainSelected(data, offset, count, *sel, out));
-      break;
-    case EncodingId::kRle:
-      STRATICA_RETURN_NOT_OK(dense ? DecodeRle(data, offset, out, keep_runs)
-                                   : DecodeRleSelected(data, offset, count, *sel, out));
-      break;
-    case EncodingId::kDeltaValue:
-      STRATICA_RETURN_NOT_OK(
-          dense ? DecodeDeltaValue(data, offset, count, out)
-                : DecodeDeltaValueSelected(data, offset, count, *sel, out));
-      break;
-    case EncodingId::kBlockDict:
-      STRATICA_RETURN_NOT_OK(
-          dense ? DecodeBlockDict(data, offset, count, out)
-                : DecodeBlockDictSelected(data, offset, count, *sel, out));
-      break;
-    case EncodingId::kCompressedDeltaRange:
-      STRATICA_RETURN_NOT_OK(
-          dense ? DecodeDeltaRange(data, offset, count, out)
-                : DecodeDeltaRangeSelected(data, offset, count, *sel, out));
-      break;
-    case EncodingId::kCompressedCommonDelta:
-      STRATICA_RETURN_NOT_OK(
-          dense ? DecodeCommonDelta(data, offset, count, out)
-                : DecodeCommonDeltaSelected(data, offset, count, *sel, out));
-      break;
-    case EncodingId::kAuto:
-      return Status::Corruption("block encoded as kAuto");
-  }
+  bool keep_runs = keep_encoded && nulls.empty();
+  STRATICA_RETURN_NOT_OK(
+      sel == nullptr
+          ? DecodePayload<false>(enc, data, offset, count, nullptr, keep_runs,
+                                 keep_encoded, out)
+          : DecodePayload<true>(enc, data, offset, count, sel->data(), false, false, out));
 
   if (!nulls.empty()) {
     if (out->nulls.empty()) out->nulls.assign(phys_before, 0);
-    if (dense) {
+    if (sel == nullptr) {
       out->nulls.insert(out->nulls.end(), nulls.begin(), nulls.end());
     } else {
       for (size_t i = 0; i < count; ++i) {
@@ -946,21 +801,45 @@ Status DecodeBlockImpl(const std::string& data, size_t* offset, TypeId type,
   }
   return Status::OK();
 }
+
+// Code order must equal value order. Blocks written since the encoder
+// started sorting dictionaries (and remapping codes) at encode time pass
+// the O(d) check below and skip the work entirely; older blocks (or other
+// writers) pay one sort + remap per view.
+void SortDictionary(ColumnVector* col) {
+  const ColumnVector& raw = *col->dict;
+  size_t d = raw.PhysicalSize();
+  col->dict_sorted = true;
+  bool presorted = true;
+  for (size_t i = 1; presorted && i < d; ++i) {
+    presorted = ColumnVector::CompareEntries(raw, i - 1, raw, i) < 0;
+  }
+  if (presorted) return;
+  std::vector<uint32_t> perm(d);
+  for (size_t i = 0; i < d; ++i) perm[i] = static_cast<uint32_t>(i);
+  std::sort(perm.begin(), perm.end(), [&](uint32_t a, uint32_t b) {
+    return ColumnVector::CompareEntries(raw, a, raw, b) < 0;
+  });
+  std::vector<int64_t> rank(d);
+  ColumnVector sorted(col->type);
+  sorted.Reserve(d);
+  for (size_t i = 0; i < d; ++i) {
+    rank[perm[i]] = static_cast<int64_t>(i);
+    sorted.AppendFrom(raw, perm[i]);
+  }
+  for (auto& c : col->ints) c = rank[static_cast<size_t>(c)];
+  col->dict = std::make_shared<const ColumnVector>(std::move(sorted));
+}
 }  // namespace
 
 Status DecodeBlock(const std::string& data, size_t* offset, TypeId type,
                    ColumnVector* out) {
-  return DecodeBlockImpl(data, offset, type, out, /*keep_runs=*/false, nullptr);
-}
-
-Status DecodeBlockRuns(const std::string& data, size_t* offset, TypeId type,
-                       ColumnVector* out) {
-  return DecodeBlockImpl(data, offset, type, out, /*keep_runs=*/true, nullptr);
+  return DecodeBlockImpl(data, offset, type, out, /*keep_encoded=*/false, nullptr);
 }
 
 Status DecodeBlockSelected(const std::string& data, size_t* offset, TypeId type,
                            const std::vector<uint8_t>& sel, ColumnVector* out) {
-  return DecodeBlockImpl(data, offset, type, out, /*keep_runs=*/false, &sel);
+  return DecodeBlockImpl(data, offset, type, out, /*keep_encoded=*/false, &sel);
 }
 
 Status DecodeBlockView(const std::string& data, size_t* offset, TypeId type,
@@ -969,71 +848,9 @@ Status DecodeBlockView(const std::string& data, size_t* offset, TypeId type,
   auto enc = PeekBlockEncoding(data, *offset);
   if (!enc.ok()) return enc.status();
   out->encoding = enc.value();
-  if (enc.value() == EncodingId::kRle) {
-    return DecodeBlockRuns(data, offset, type, &out->column);
-  }
-  if (enc.value() != EncodingId::kBlockDict) {
-    return DecodeBlock(data, offset, type, &out->column);
-  }
-
-  // BlockDict: materialize per-row codes plus the dictionary instead of
-  // expanding values. Framing mirrors DecodeBlockImpl.
-  ++*offset;  // encoding byte
-  uint64_t count;
-  if (!GetVarint64(data, offset, &count)) return Status::Corruption("block: bad count");
-  std::vector<uint8_t> nulls;
-  STRATICA_RETURN_NOT_OK(ReadNullSection(data, offset, count, &nulls));
-  ColumnVector raw_dict(type);
-  uint64_t dict_size;
-  int width;
-  STRATICA_RETURN_NOT_OK(ParseDictHeader(data, offset, &raw_dict, &dict_size, &width));
-  ColumnVector& col = out->column;
-  col.ints.reserve(count);
-  if (width == 0) {
-    if (count > 0 && dict_size == 0) return Status::Corruption("dict: empty");
-    col.ints.assign(count, 0);
-  } else {
-    size_t payload = PackedBytes(count, width);
-    if (*offset + payload > data.size()) return Status::Corruption("dict: truncated");
-    const char* base = data.data() + *offset;
-    for (size_t i = 0; i < count; ++i) {
-      uint64_t code = ReadPackedBits(base, i * static_cast<size_t>(width), width);
-      if (code >= dict_size) return Status::Corruption("dict: index out of range");
-      col.ints.push_back(static_cast<int64_t>(code));
-    }
-    *offset += payload;
-  }
-  col.nulls = std::move(nulls);
-
-  // Code order must equal value order. Blocks written since the encoder
-  // started sorting dictionaries (and remapping codes) at encode time pass
-  // the O(d) check below and skip the work entirely; older blocks (or other
-  // writers) pay one sort + remap per view.
-  size_t d = raw_dict.PhysicalSize();
-  bool presorted = true;
-  for (size_t i = 1; presorted && i < d; ++i) {
-    presorted = ColumnVector::CompareEntries(raw_dict, i - 1, raw_dict, i) < 0;
-  }
-  if (presorted) {
-    col.dict = std::make_shared<const ColumnVector>(std::move(raw_dict));
-    col.dict_sorted = true;
-    return Status::OK();
-  }
-  std::vector<uint32_t> perm(d);
-  for (size_t i = 0; i < d; ++i) perm[i] = static_cast<uint32_t>(i);
-  std::sort(perm.begin(), perm.end(), [&](uint32_t a, uint32_t b) {
-    return ColumnVector::CompareEntries(raw_dict, a, raw_dict, b) < 0;
-  });
-  std::vector<int64_t> rank(d);
-  ColumnVector sorted(type);
-  sorted.Reserve(d);
-  for (size_t i = 0; i < d; ++i) {
-    rank[perm[i]] = static_cast<int64_t>(i);
-    sorted.AppendFrom(raw_dict, perm[i]);
-  }
-  for (auto& c : col.ints) c = rank[static_cast<size_t>(c)];
-  col.dict = std::make_shared<const ColumnVector>(std::move(sorted));
-  col.dict_sorted = true;
+  STRATICA_RETURN_NOT_OK(
+      DecodeBlockImpl(data, offset, type, &out->column, /*keep_encoded=*/true, nullptr));
+  if (out->column.IsDictCoded()) SortDictionary(&out->column);
   return Status::OK();
 }
 

@@ -54,23 +54,20 @@ bool EncodingSupports(EncodingId enc, StorageClass sc);
 Status EncodeBlock(EncodingId enc, const ColumnVector& col, size_t start, size_t count,
                    std::string* out);
 
-/// Decode one block (produced by EncodeBlock) into a flat column; `*offset`
-/// advances past the block.
+/// Decode one block (produced by EncodeBlock) into a flat column, appending
+/// to `out`; `*offset` advances past the block. A block whose payload does
+/// not hold exactly its row count is Corruption.
 Status DecodeBlock(const std::string& data, size_t* offset, TypeId type,
                    ColumnVector* out);
-
-/// Like DecodeBlock but preserves run-length form when the block is RLE
-/// encoded, enabling operators to work directly on encoded data (§6.1).
-Status DecodeBlockRuns(const std::string& data, size_t* offset, TypeId type,
-                       ColumnVector* out);
 
 /// Selection-aware decode for late materialization (§6.1, DESIGN.md §7):
 /// appends only the entries with sel[i] != 0, producing output bit-identical
 /// to DecodeBlock followed by FilterPhysical(sel). `sel` must have exactly
-/// one entry per row of the block. Each encoding materializes only selected
-/// values: RLE skips dead runs wholesale, DeltaValue and BlockDict bit-unpack
-/// only selected slots, the varint delta encodings stop decoding after the
-/// last selected position, and string payloads never copy unselected bytes.
+/// one entry per row of the block. DecodeBlock runs the same per-encoding
+/// decoder with no selection; each materializes only selected values: RLE
+/// skips dead runs wholesale, DeltaValue and BlockDict bit-unpack only
+/// selected slots, the varint delta encodings stop decoding after the last
+/// selected position, and string payloads never copy unselected bytes.
 /// `*offset` still advances past the whole block.
 Status DecodeBlockSelected(const std::string& data, size_t* offset, TypeId type,
                            const std::vector<uint8_t>& sel, ColumnVector* out);

@@ -67,9 +67,12 @@ TEST(EncodingTest, RlePreservesRunsWhenRequested) {
   ColumnVector col = MakeInts({7, 7, 7, 8, 8, 9});
   std::string buf;
   ASSERT_TRUE(EncodeBlock(EncodingId::kRle, col, 0, 6, &buf).ok());
-  ColumnVector out(TypeId::kInt64);
+  EncodedBlockView view;
   size_t offset = 0;
-  ASSERT_TRUE(DecodeBlockRuns(buf, &offset, TypeId::kInt64, &out).ok());
+  ASSERT_TRUE(DecodeBlockView(buf, &offset, TypeId::kInt64, &view).ok());
+  EXPECT_EQ(view.encoding, EncodingId::kRle);
+  EXPECT_EQ(offset, buf.size());
+  const ColumnVector& out = view.column;
   ASSERT_TRUE(out.IsRle());
   EXPECT_EQ(out.PhysicalSize(), 3u);
   EXPECT_EQ(out.Size(), 6u);
@@ -168,6 +171,55 @@ TEST(EncodingTest, NullsSurviveAllEncodings) {
   }
 }
 
+// A block whose payload does not hold exactly its row count is corrupt on
+// every decode path, not only the selective one.
+void ExpectCorrupt(const std::string& buf, TypeId type, size_t rows) {
+  ColumnVector out(type);
+  size_t offset = 0;
+  EXPECT_EQ(DecodeBlock(buf, &offset, type, &out).code(), StatusCode::kCorruption);
+  ColumnVector selected(type);
+  offset = 0;
+  std::vector<uint8_t> sel(rows, 1);
+  sel[0] = 0;
+  EXPECT_EQ(DecodeBlockSelected(buf, &offset, type, sel, &selected).code(),
+            StatusCode::kCorruption);
+  EncodedBlockView view;
+  offset = 0;
+  EXPECT_EQ(DecodeBlockView(buf, &offset, type, &view).code(), StatusCode::kCorruption);
+}
+
+TEST(EncodingTest, TruncatedDeltaValueIsCorruption) {
+  std::vector<int64_t> v;
+  for (int i = 0; i < 100; ++i) v.push_back((i * 37) % 1000);  // 10-bit slots
+  std::string buf;
+  ASSERT_TRUE(EncodeBlock(EncodingId::kDeltaValue, MakeInts(v), 0, 100, &buf).ok());
+  ASSERT_EQ(PeekBlockEncoding(buf, 0).value(), EncodingId::kDeltaValue);
+  buf.resize(buf.size() - 20);
+  ExpectCorrupt(buf, TypeId::kInt64, 100);
+}
+
+TEST(EncodingTest, TruncatedBlockDictIsCorruption) {
+  std::vector<int64_t> v;
+  for (int i = 0; i < 100; ++i) v.push_back((i * 7) % 16 * 1000);  // 4-bit codes
+  std::string buf;
+  ASSERT_TRUE(EncodeBlock(EncodingId::kBlockDict, MakeInts(v), 0, 100, &buf).ok());
+  ASSERT_EQ(PeekBlockEncoding(buf, 0).value(), EncodingId::kBlockDict);
+  buf.resize(buf.size() - 20);
+  ExpectCorrupt(buf, TypeId::kInt64, 100);
+}
+
+TEST(EncodingTest, RleRunsOverflowingRowCountIsCorruption) {
+  std::vector<int64_t> v;
+  for (int i = 0; i < 100; ++i) v.push_back(i / 10);
+  std::string buf;
+  ASSERT_TRUE(EncodeBlock(EncodingId::kRle, MakeInts(v), 0, 100, &buf).ok());
+  // Layout: [encoding u8][count varint][null section][runs]; 100 and 60 are
+  // both one-byte varints, so the count can be rewritten in place.
+  ASSERT_EQ(static_cast<uint8_t>(buf[1]), 100u);
+  buf[1] = 60;
+  ExpectCorrupt(buf, TypeId::kInt64, 60);
+}
+
 TEST(EncodingTest, EmptyBlock) {
   ColumnVector col(TypeId::kInt64);
   std::string buf;
@@ -211,6 +263,8 @@ TEST(EncodingTest, AutoBeatsPlainOnEveryShapedInput) {
 // Selective decode (late materialization): DecodeBlockSelected must be
 // bit-identical to DecodeBlock + FilterPhysical for every encoding, shape,
 // and selection pattern, and must consume the same number of block bytes.
+// Both run the same decoder, so each result is also checked against the
+// source column filtered by the selection.
 
 std::vector<uint8_t> MakeSelection(int kind, size_t n) {
   std::vector<uint8_t> sel(n, 0);
@@ -255,6 +309,20 @@ void ExpectSelectedMatches(EncodingId enc, const ColumnVector& col,
           << "row " << i << " enc " << EncodingName(enc);
     }
   }
+
+  // Independent oracle: the source rows the selection keeps.
+  size_t j = 0;
+  for (size_t i = 0; i < sel.size(); ++i) {
+    if (!sel[i]) continue;
+    ASSERT_LT(j, out.PhysicalSize()) << EncodingName(enc);
+    EXPECT_EQ(out.IsNull(j), col.IsNull(i)) << "row " << i;
+    if (!col.IsNull(i)) {
+      EXPECT_EQ(ColumnVector::CompareEntries(out, j, col, i), 0)
+          << "row " << i << " enc " << EncodingName(enc);
+    }
+    ++j;
+  }
+  EXPECT_EQ(j, out.PhysicalSize()) << EncodingName(enc);
 }
 
 constexpr EncodingId kAllEncodings[] = {
