@@ -1,5 +1,7 @@
 #include "exec/agg.h"
 
+#include <type_traits>
+
 #include "common/bitutil.h"
 #include "storage/encoding.h"
 
@@ -53,6 +55,17 @@ std::vector<TypeId> AggSpec::PartialTypes() const {
   return {};
 }
 
+static_assert(std::is_nothrow_move_constructible_v<AggState>,
+              "group tables keep states in one vector; growth must move, not copy");
+
+void AggState::Extreme(const AggSpec& spec, const Value& v) {
+  if (!has_value ||
+      (spec.kind == AggKind::kMin ? v.Compare(extreme) < 0 : v.Compare(extreme) > 0)) {
+    extreme = v;
+    has_value = true;
+  }
+}
+
 void AggState::Update(const AggSpec& spec, const ColumnVector& col, size_t phys,
                       uint32_t run) {
   if (spec.kind == AggKind::kCountStar) {
@@ -80,20 +93,14 @@ void AggState::Update(const AggSpec& spec, const ColumnVector& col, size_t phys,
       break;
     }
     case AggKind::kMin:
-    case AggKind::kMax: {
-      Value v = col.GetValue(phys);
-      if (!has_value || (spec.kind == AggKind::kMin ? v.Compare(extreme) < 0
-                                                    : v.Compare(extreme) > 0)) {
-        extreme = v;
-        has_value = true;
-      }
+    case AggKind::kMax:
+      Extreme(spec, col.GetValue(phys));
       break;
-    }
     case AggKind::kCountDistinct: {
-      if (!distinct) distinct = std::make_unique<std::set<std::string>>();
+      if (!distinct) distinct = std::make_unique<DistinctSet>();
       std::string key;
       EncodeValue(&key, col.GetValue(phys));
-      distinct->insert(std::move(key));
+      distinct->Insert(std::move(key));
       break;
     }
     case AggKind::kCountStar:
@@ -105,51 +112,30 @@ void AggState::Merge(const AggSpec& spec, const AggState& other) {
   count += other.count;
   isum += other.isum;
   dsum += other.dsum;
-  if (other.has_value) {
-    if (!has_value || (spec.kind == AggKind::kMin ? other.extreme.Compare(extreme) < 0
-                                                  : other.extreme.Compare(extreme) > 0)) {
-      extreme = other.extreme;
-      has_value = true;
-    }
-  }
+  if (other.has_value) Extreme(spec, other.extreme);
   if (other.distinct) {
-    if (!distinct) distinct = std::make_unique<std::set<std::string>>();
-    distinct->insert(other.distinct->begin(), other.distinct->end());
+    if (!distinct) distinct = std::make_unique<DistinctSet>();
+    for (const std::string& v : other.distinct->values) distinct->Insert(v);
   }
 }
 
 void AggState::UpdatePartial(const AggSpec& spec, const RowBlock& block,
                              size_t first_col, size_t row) {
+  const ColumnVector& col = block.columns[first_col];
   switch (spec.kind) {
-    case AggKind::kCountStar:
-    case AggKind::kCount:
-      count += block.columns[first_col].ints[row];
-      break;
-    case AggKind::kSum:
-      if (StorageClassOf(block.columns[first_col].type) == StorageClass::kFloat64) {
-        dsum += block.columns[first_col].doubles[row];
-      } else {
-        isum += block.columns[first_col].ints[row];
-      }
-      if (!block.columns[first_col].IsNull(row)) count += 1;
+    case AggKind::kSum:  // the partial is a SUM (NULL when empty) of the same class
+    case AggKind::kMin:
+    case AggKind::kMax:
+      Update(spec, col, row, 1);
       break;
     case AggKind::kAvg:
-      dsum += block.columns[first_col].doubles[row];
+      dsum += col.doubles[row];
       count += block.columns[first_col + 1].ints[row];
       break;
-    case AggKind::kMin:
-    case AggKind::kMax: {
-      if (block.columns[first_col].IsNull(row)) break;
-      Value v = block.columns[first_col].GetValue(row);
-      if (!has_value || (spec.kind == AggKind::kMin ? v.Compare(extreme) < 0
-                                                    : v.Compare(extreme) > 0)) {
-        extreme = v;
-        has_value = true;
-      }
-      break;
-    }
+    case AggKind::kCountStar:
+    case AggKind::kCount:
     case AggKind::kCountDistinct:
-      count += block.columns[first_col].ints[row];
+      count += col.ints[row];
       break;
   }
 }
@@ -170,39 +156,19 @@ Value AggState::Final(const AggSpec& spec) const {
     case AggKind::kMax:
       return has_value ? extreme : Value::Null(spec.input_type);
     case AggKind::kCountDistinct:
-      return Value::Int64(distinct ? static_cast<int64_t>(distinct->size()) : 0);
+      return Value::Int64(distinct ? static_cast<int64_t>(distinct->values.size()) : 0);
   }
   return Value::Null(TypeId::kInt64);
 }
 
 void AggState::EmitPartial(const AggSpec& spec, std::vector<ColumnVector>* cols,
                            size_t first_col) const {
-  switch (spec.kind) {
-    case AggKind::kCountStar:
-    case AggKind::kCount:
-      (*cols)[first_col].Append(Value::Int64(count));
-      break;
-    case AggKind::kSum:
-      if (count == 0) {
-        (*cols)[first_col].Append(Value::Null(spec.OutputType()));
-      } else if (spec.OutputType() == TypeId::kFloat64) {
-        (*cols)[first_col].Append(Value::Float64(dsum));
-      } else {
-        (*cols)[first_col].Append(Value::Int64(isum));
-      }
-      break;
-    case AggKind::kAvg:
-      (*cols)[first_col].Append(Value::Float64(dsum));
-      (*cols)[first_col + 1].Append(Value::Int64(count));
-      break;
-    case AggKind::kMin:
-    case AggKind::kMax:
-      (*cols)[first_col].Append(has_value ? extreme : Value::Null(spec.input_type));
-      break;
-    case AggKind::kCountDistinct:
-      (*cols)[first_col].Append(
-          Value::Int64(distinct ? static_cast<int64_t>(distinct->size()) : 0));
-      break;
+  // Every partial but AVG's (sum, count) pair is the final value itself.
+  if (spec.kind == AggKind::kAvg) {
+    (*cols)[first_col].Append(Value::Float64(dsum));
+    (*cols)[first_col + 1].Append(Value::Int64(count));
+  } else {
+    (*cols)[first_col].Append(Final(spec));
   }
 }
 
@@ -213,10 +179,10 @@ std::string AggState::Serialize(const AggSpec& spec) const {
   PutFixed(&out, dsum);
   out.push_back(has_value ? 1 : 0);
   if (has_value) EncodeValue(&out, extreme);
-  uint64_t nd = distinct ? distinct->size() : 0;
+  uint64_t nd = distinct ? distinct->values.size() : 0;
   PutVarint64(&out, nd);
   if (distinct) {
-    for (const auto& s : *distinct) {
+    for (const auto& s : distinct->values) {
       PutVarint64(&out, s.size());
       out.append(s);
     }
@@ -242,12 +208,12 @@ Result<AggState> AggState::Parse(const AggSpec& spec, const std::string& data) {
   uint64_t nd;
   if (!GetVarint64(data, &offset, &nd)) return Status::Corruption("agg: nd");
   if (nd > 0) {
-    st.distinct = std::make_unique<std::set<std::string>>();
+    st.distinct = std::make_unique<DistinctSet>();
     for (uint64_t i = 0; i < nd; ++i) {
       uint64_t len;
       if (!GetVarint64(data, &offset, &len) || offset + len > data.size())
         return Status::Corruption("agg: distinct entry");
-      st.distinct->insert(data.substr(offset, len));
+      st.distinct->Insert(data.substr(offset, len));
       offset += len;
     }
   }

@@ -41,12 +41,23 @@ struct AggSpec {
 
 /// \brief Accumulator for one (group, aggregate) pair.
 struct AggState {
+  /// COUNT(DISTINCT) values (serialized) and their share of MemoryBytes(),
+  /// kept as values insert so MemoryBytes() is O(1).
+  struct DistinctSet {
+    std::set<std::string> values;
+    size_t bytes = 0;  // sum of (value size + 32)
+    void Insert(std::string v) {
+      size_t n = v.size() + 32;
+      if (values.insert(std::move(v)).second) bytes += n;
+    }
+  };
+
   int64_t count = 0;
   int64_t isum = 0;
   double dsum = 0;
   bool has_value = false;  // for MIN/MAX
   Value extreme;
-  std::unique_ptr<std::set<std::string>> distinct;  // serialized values
+  std::unique_ptr<DistinctSet> distinct;
 
   AggState() = default;
   AggState(AggState&&) = default;
@@ -60,8 +71,7 @@ struct AggState {
     dsum = other.dsum;
     has_value = other.has_value;
     extreme = other.extreme;
-    distinct = other.distinct ? std::make_unique<std::set<std::string>>(*other.distinct)
-                              : nullptr;
+    distinct = other.distinct ? std::make_unique<DistinctSet>(*other.distinct) : nullptr;
     return *this;
   }
 
@@ -84,12 +94,12 @@ struct AggState {
   static Result<AggState> Parse(const AggSpec& spec, const std::string& data);
 
   size_t MemoryBytes() const {
-    size_t n = sizeof(AggState);
-    if (distinct) {
-      for (const auto& s : *distinct) n += s.size() + 32;
-    }
-    return n;
+    return sizeof(AggState) + (distinct ? distinct->bytes : 0);
   }
+
+ private:
+  /// MIN/MAX: keep `v` if it beats the current extreme.
+  void Extreme(const AggSpec& spec, const Value& v);
 };
 
 /// Evaluation phase of a GroupBy operator.

@@ -1,5 +1,7 @@
 #include "exec/group_by.h"
 
+#include <algorithm>
+
 #include "common/hash.h"
 #include "exec/scheduler.h"
 
@@ -25,260 +27,252 @@ bool GroupKeyEquals(const RowBlock& a, const std::vector<uint32_t>& cols_a, size
 }
 
 // ---------------------------------------------------------------------------
+// GroupTable
+
+GroupTable::GroupTable(const std::vector<TypeId>& key_types, size_t num_aggs)
+    : keys(key_types), key_cols(key_types.size()), num_aggs(num_aggs) {
+  for (size_t i = 0; i < key_cols.size(); ++i) key_cols[i] = static_cast<uint32_t>(i);
+}
+
+uint32_t GroupTable::Insert(const RowBlock& block, const std::vector<uint32_t>& cols,
+                            size_t row, uint64_t h) {
+  for (size_t i = 0; i < cols.size(); ++i)
+    keys.columns[i].AppendFrom(block.columns[cols[i]], row);
+  states.resize(states.size() + num_aggs);
+  bytes += 64 + 48 * num_aggs;
+  return index.Insert(h);
+}
+
+void GroupTable::Clear() {
+  keys.Clear();
+  states.clear();
+  index.Clear();
+  bytes = 0;
+}
+
+// ---------------------------------------------------------------------------
+// GroupByBase
+
+std::vector<TypeId> GroupByBase::KeyTypes() const {
+  std::vector<TypeId> types;
+  auto child_types = child_->OutputTypes();
+  for (uint32_t c : spec_.group_columns) types.push_back(child_types[c]);
+  return types;
+}
+
+std::vector<TypeId> GroupByBase::OutputTypes() const {
+  return GroupByOutputTypes(KeyTypes(), spec_.aggs, spec_.phase);
+}
+
+Status GroupByBase::OpenChild(ExecContext* ctx) {
+  ctx_ = ctx;
+  STRATICA_RETURN_NOT_OK(child_->Open(ctx));
+  key_types_ = KeyTypes();
+  out_types_ = GroupByOutputTypes(key_types_, spec_.aggs, spec_.phase);
+  partial_first_.clear();
+  size_t col = key_types_.size();
+  for (const AggSpec& agg : spec_.aggs) {
+    partial_first_.push_back(col);
+    col += agg.PartialTypes().size();
+  }
+  return Status::OK();
+}
+
+GroupByBase::KeyEntries GroupByBase::StartBlock(RowBlock* block) {
+  const std::vector<uint32_t>& kc = spec_.group_columns;
+  const bool combine = spec_.phase == AggPhase::kCombine;
+  KeyEntries entries{block->NumRows(), nullptr, 1};
+  if (combine) block->DecodeAll();
+  if (kc.empty()) {
+    entries = {1, nullptr, block->NumRows()};
+  } else if (kc.size() == 1 && block->columns[kc[0]].IsRle()) {
+    const ColumnVector& key = block->columns[kc[0]];
+    entries = {key.PhysicalSize(), key.runs.data(), 0};
+  } else {
+    // Several key columns: RLE runs are not row-parallel across them.
+    for (uint32_t c : kc) {
+      if (block->columns[c].IsRle()) block->columns[c] = block->columns[c].Decoded();
+    }
+  }
+  block_ = block;
+  entries_ = entries;
+  groups_.resize(entries.count);
+  inputs_.clear();
+  for (const AggSpec& agg : spec_.aggs) {
+    if (combine || agg.kind == AggKind::kCountStar) {
+      inputs_.push_back({combine ? InputForm::kPartials : InputForm::kRowCount, nullptr});
+      continue;
+    }
+    const ColumnVector& col = block->columns[agg.input_column];
+    inputs_.push_back({col.IsRle()           ? InputForm::kRle
+                       : col.IsDictCoded() ? InputForm::kDict
+                                           : InputForm::kFlat,
+                       &col});
+  }
+  return entries;
+}
+
+void GroupByBase::HashEntries(const RowBlock& block, const KeyEntries& entries) {
+  if (entries.runs != nullptr) {  // one RLE key column: hash its runs
+    hash_buf_.resize(entries.count);
+    HashColumn(block.columns[spec_.group_columns[0]], hash_buf_.data());
+    for (uint64_t& h : hash_buf_) h = HashCombine(kGroupKeySeed, h);
+  } else if (spec_.group_columns.empty()) {
+    hash_buf_.assign(1, kGroupKeySeed);
+  } else {
+    HashRows(block, spec_.group_columns, kGroupKeySeed, &hash_buf_);
+  }
+}
+
+void GroupByBase::Fold(GroupTable* t, size_t first, size_t last, size_t row) {
+  // Aggregate by aggregate, so each input's form is decided once per call.
+  for (size_t a = 0; a < inputs_.size(); ++a) {
+    const AggSpec& agg = spec_.aggs[a];
+    AggInput& in = inputs_[a];
+    // fold(state, begin row, end row) for every entry.
+    auto each_entry = [&](auto&& fold) {
+      for (size_t e = first, begin = row; e < last; ++e) {
+        AggState& st = t->States(groups_[e])[a];
+        size_t end = begin + entries_.Rows(e);
+        size_t before = st.MemoryBytes();
+        fold(st, begin, end);
+        t->bytes += st.MemoryBytes() - before;
+        begin = end;
+      }
+    };
+    switch (in.form) {
+      case InputForm::kPartials:
+        each_entry([&](AggState& st, size_t b, size_t e) {
+          for (size_t r = b; r < e; ++r)
+            st.UpdatePartial(agg, *block_, partial_first_[a], r);
+        });
+        break;
+      case InputForm::kRowCount:
+        each_entry([](AggState& st, size_t b, size_t e) {
+          st.UpdateCountStar(static_cast<uint32_t>(e - b));
+        });
+        break;
+      case InputForm::kRle:
+        // One update per run overlapping the entry, weighted by the overlap.
+        each_entry([&](AggState& st, size_t b, size_t e) {
+          for (size_t r = b; r < e;) {
+            while (in.run_end <= r) in.run_end += in.col->runs[in.next_run++];
+            size_t take = std::min(in.run_end, e) - r;
+            st.Update(agg, *in.col, in.next_run - 1, static_cast<uint32_t>(take));
+            r += take;
+          }
+        });
+        break;
+      case InputForm::kDict:
+      case InputForm::kFlat:
+        each_entry([&](AggState& st, size_t b, size_t e) {
+          // Entries at least as long as the dictionary fold once per code.
+          if (in.form == InputForm::kDict && e - b >= in.col->dict->PhysicalSize()) {
+            FoldCodes(agg, *in.col, b, e, &st);
+          } else {
+            for (size_t r = b; r < e; ++r) st.Update(agg, *in.col, r, 1);
+          }
+        });
+        break;
+    }
+  }
+}
+
+void GroupByBase::FoldCodes(const AggSpec& agg, const ColumnVector& col, size_t begin,
+                            size_t end, AggState* st) {
+  const ColumnVector& dict = *col.dict;
+  code_counts_.assign(dict.PhysicalSize(), 0);
+  for (size_t r = begin; r < end; ++r) {
+    if (!col.IsNull(r)) ++code_counts_[static_cast<size_t>(col.ints[r])];
+  }
+  for (size_t code = 0; code < code_counts_.size(); ++code) {
+    if (code_counts_[code] > 0) st->Update(agg, dict, code, code_counts_[code]);
+  }
+}
+
+void GroupByBase::EmitGroups(const GroupTable& t, size_t begin, size_t end,
+                             RowBlock* out) const {
+  const size_t k = key_types_.size();
+  for (size_t g = begin; g < end; ++g) {
+    for (size_t i = 0; i < k; ++i) out->columns[i].AppendFrom(t.keys.columns[i], g);
+    const AggState* states = t.States(g);
+    for (size_t a = 0; a < spec_.aggs.size(); ++a) {
+      if (spec_.phase == AggPhase::kPartial) {
+        states[a].EmitPartial(spec_.aggs[a], &out->columns, partial_first_[a]);
+      } else {
+        out->columns[k + a].Append(states[a].Final(spec_.aggs[a]));
+      }
+    }
+  }
+}
+
+void GroupByBase::EmitTable(const GroupTable& t, std::deque<RowBlock>* out) const {
+  for (size_t g = 0; g < t.NumGroups(); g += ctx_->vector_size) {
+    out->emplace_back(out_types_);
+    EmitGroups(t, g, std::min(t.NumGroups(), g + ctx_->vector_size), &out->back());
+  }
+}
+
+// ---------------------------------------------------------------------------
 // HashGroupByOperator
 
-std::vector<TypeId> HashGroupByOperator::GroupTypes() const {
-  std::vector<TypeId> t;
-  auto child_types = child_->OutputTypes();
-  for (uint32_t c : spec_.group_columns) t.push_back(child_types[c]);
-  return t;
-}
-
-std::vector<TypeId> HashGroupByOperator::OutputTypes() const {
-  return GroupByOutputTypes(GroupTypes(), spec_.aggs, spec_.phase);
-}
-
-uint32_t HashGroupByOperator::FindOrInsertGroup(Table* table, const RowBlock& block,
-                                                const std::vector<uint32_t>& key_cols,
-                                                size_t row, uint64_t h) {
-  for (uint32_t e = table->index.Probe(h); e != FlatHashTable::kNone;
-       e = table->index.Next(e)) {
-    if (GroupKeyEquals(table->keys, identity_cols_, e, block, key_cols, row)) return e;
-  }
-  uint32_t group = table->index.Insert(h);
-  for (size_t i = 0; i < key_cols.size(); ++i) {
-    table->keys.columns[i].AppendFrom(block.columns[key_cols[i]], row);
-  }
-  table->states.emplace_back(spec_.aggs.size());
-  table->bytes += 64 + 48 * spec_.aggs.size();
-  return group;
-}
-
 Status HashGroupByOperator::Consume(RowBlock* blockp) {
-  if (spec_.phase != AggPhase::kCombine) {
-    // Encoded fast paths (DESIGN.md §13).
-    if (spec_.group_columns.empty()) return ConsumeGlobal(*blockp);
-    if (spec_.group_columns.size() == 1) {
-      const ColumnVector& gc = blockp->columns[spec_.group_columns[0]];
-      if (gc.IsDictCoded()) return ConsumeDictKey(blockp);
-      if (gc.IsRle()) return ConsumeRleKey(blockp);
-    }
-  }
-  // Universal fallback: flatten RLE columns (their physical entries are not
-  // row-parallel); dict columns stay coded — HashRows, GroupKeyEquals and
-  // AggState::Update all resolve codes through the dictionary.
-  bool any_dict = false;
-  for (auto& col : blockp->columns) {
-    if (col.IsRle()) col = col.Decoded();
-    any_dict |= col.IsDictCoded();
-  }
-  if (spec_.phase == AggPhase::kCombine) blockp->DecodeAll();
+  KeyEntries entries = StartBlock(blockp);
   const RowBlock& block = *blockp;
-  size_t n = block.NumRows();
-  if (any_dict && spec_.phase != AggPhase::kCombine && ctx_->stats) {
-    ctx_->stats->rows_processed_encoded.fetch_add(n);
+  const std::vector<uint32_t>& kc = spec_.group_columns;
+  const ColumnVector* key = kc.size() == 1 ? &block.columns[kc[0]] : nullptr;
+  const bool by_code = key != nullptr && key->IsDictCoded();
+  if (by_code) {
+    if (key->dict != code_map_dict_) {
+      code_map_dict_ = key->dict;
+      code_map_.assign(key->dict->PhysicalSize() + 1, FlatHashTable::kNone);
+    }
+  } else {
+    // Hash every entry once (type-specialized per-column loops), then probe
+    // in a batch; only entries that miss or collide walk further.
+    HashEntries(block, entries);
+    head_buf_.resize(entries.count);
+    table_.index.ProbeBatch(hash_buf_.data(), entries.count, head_buf_.data());
   }
-  // Hash the whole block once (type-specialized per-column loops), then
-  // probe in a batch; only rows that miss or collide fall back to the
-  // serial find-or-insert walk.
-  HashRows(block, spec_.group_columns, kGroupKeySeed, &hash_buf_);
-  head_buf_.resize(n);
-  table_.index.ProbeBatch(hash_buf_.data(), n, head_buf_.data());
-  for (size_t r = 0; r < n; ++r) {
-    uint32_t group = FlatHashTable::kNone;
-    // Fast path: the batched probe found the chain head; walk candidates.
-    // Chain heads are entry ids and stay valid across inserts, but a miss
-    // must re-probe: an earlier row of this block may have added the group.
-    for (uint32_t e = head_buf_[r]; e != FlatHashTable::kNone; e = table_.index.Next(e)) {
-      if (GroupKeyEquals(table_.keys, identity_cols_, e, block, spec_.group_columns,
-                         r)) {
-        group = e;
-        break;
+  for (size_t e = 0; e < entries.count; ++e) {
+    uint32_t group;
+    if (by_code) {
+      // Only a code's first sight pays the hash lookup (the same dictionary
+      // value may already have a group from another block). Last slot: NULL.
+      uint32_t& slot = code_map_[key->IsNull(e) ? code_map_.size() - 1
+                                                : static_cast<size_t>(key->ints[e])];
+      if (slot == FlatHashTable::kNone) {
+        uint64_t h = HashGroupKey(block, kc, e);
+        slot = table_.FindOrInsert(block, kc, e, h, table_.index.Probe(h));
       }
+      group = slot;
+    } else {
+      group = table_.FindOrInsert(block, kc, e, hash_buf_[e], head_buf_[e]);
     }
-    if (group == FlatHashTable::kNone) {
-      group = FindOrInsertGroup(&table_, block, spec_.group_columns, r, hash_buf_[r]);
-    }
-    auto& states = table_.states[group];
-    for (size_t a = 0; a < spec_.aggs.size(); ++a) {
-      const AggSpec& agg = spec_.aggs[a];
-      if (spec_.phase == AggPhase::kCombine) {
-        // Input columns: group columns first, then each agg's partial columns.
-        size_t first = spec_.group_columns.size();
-        for (size_t p = 0; p < a; ++p) first += spec_.aggs[p].PartialTypes().size();
-        states[a].UpdatePartial(agg, block, first, r);
-      } else if (agg.kind == AggKind::kCountStar) {
-        states[a].UpdateCountStar(1);
-      } else {
-        size_t before = states[a].MemoryBytes();
-        states[a].Update(agg, block.columns[agg.input_column], r, 1);
-        table_.bytes += states[a].MemoryBytes() - before;
+    groups_[e] = group;
+  }
+  Fold(&table_, 0, entries.count, 0);
+  // Encoded rows: every row of an RLE or dict-coded key; without GROUP BY,
+  // every row once per RLE or dict-coded aggregate input.
+  if (ctx_->stats && spec_.phase != AggPhase::kCombine) {
+    uint64_t n = block.NumRows(), encoded = 0;
+    if (kc.empty()) {
+      for (const AggSpec& agg : spec_.aggs) {
+        if (agg.kind != AggKind::kCountStar && !block.columns[agg.input_column].IsFlat())
+          encoded += n;
       }
+    } else if (entries.runs != nullptr ||
+               std::any_of(block.columns.begin(), block.columns.end(),
+                           [](const ColumnVector& c) { return c.IsDictCoded(); })) {
+      encoded = n;
     }
+    if (encoded > 0) ctx_->stats->rows_processed_encoded.fetch_add(encoded);
   }
   // Externalize when over budget: flush groups (key + serialized states) to
   // grace partitions by key hash.
   if (ctx_->budget && table_.bytes > 0 &&
       static_cast<int64_t>(table_.bytes) > ctx_->budget->available()) {
-    STRATICA_RETURN_NOT_OK(SpillTable());
-  }
-  return Status::OK();
-}
-
-Status HashGroupByOperator::ConsumeGlobal(const RowBlock& block) {
-  size_t n = block.NumRows();
-  // One group, no key columns; create it exactly as the general path would
-  // so spill/merge see an identical table shape.
-  uint32_t group;
-  if (table_.states.empty()) {
-    group = FindOrInsertGroup(&table_, block, spec_.group_columns, 0,
-                              HashGroupKey(block, spec_.group_columns, 0));
-  } else {
-    group = 0;
-  }
-  auto& states = table_.states[group];
-  uint64_t enc_rows = 0;
-  for (size_t a = 0; a < spec_.aggs.size(); ++a) {
-    const AggSpec& agg = spec_.aggs[a];
-    if (agg.kind == AggKind::kCountStar) {
-      states[a].UpdateCountStar(static_cast<uint32_t>(n));
-      continue;
-    }
-    const ColumnVector& col = block.columns[agg.input_column];
-    size_t before = states[a].MemoryBytes();
-    if (col.IsRle()) {
-      // One state update per run: COUNT/SUM multiply by the run length,
-      // MIN/MAX/COUNT DISTINCT look at each distinct entry once.
-      for (size_t p = 0; p < col.PhysicalSize(); ++p) {
-        states[a].Update(agg, col, p, col.runs[p]);
-      }
-      enc_rows += n;
-    } else if (col.IsDictCoded()) {
-      // Per-code occurrence counts over the non-null rows, then one update
-      // per present dictionary entry with the count as the run multiplier.
-      size_t dsize = col.dict->PhysicalSize();
-      std::vector<uint32_t> cnt(dsize, 0);
-      for (size_t r = 0; r < n; ++r) {
-        if (!col.IsNull(r)) ++cnt[static_cast<size_t>(col.ints[r])];
-      }
-      for (size_t code = 0; code < dsize; ++code) {
-        if (cnt[code] > 0) states[a].Update(agg, *col.dict, code, cnt[code]);
-      }
-      enc_rows += n;
-    } else {
-      for (size_t r = 0; r < n; ++r) states[a].Update(agg, col, r, 1);
-    }
-    table_.bytes += states[a].MemoryBytes() - before;
-  }
-  if (enc_rows > 0 && ctx_->stats) {
-    ctx_->stats->rows_processed_encoded.fetch_add(enc_rows);
-  }
-  if (ctx_->budget && table_.bytes > 0 &&
-      static_cast<int64_t>(table_.bytes) > ctx_->budget->available()) {
-    STRATICA_RETURN_NOT_OK(SpillTable());
-  }
-  return Status::OK();
-}
-
-Status HashGroupByOperator::ConsumeDictKey(RowBlock* blockp) {
-  RowBlock& block = *blockp;
-  // The per-row walk below needs row-parallel agg inputs; RLE agg columns
-  // flatten (dict agg columns stay coded — Update resolves the code).
-  for (const auto& agg : spec_.aggs) {
-    if (agg.input_column >= 0 && block.columns[agg.input_column].IsRle()) {
-      block.columns[agg.input_column] = block.columns[agg.input_column].Decoded();
-    }
-  }
-  const ColumnVector& gc = block.columns[spec_.group_columns[0]];
-  size_t n = block.NumRows();
-  size_t dsize = gc.dict->PhysicalSize();
-  if (gc.dict != code_map_dict_) {
-    code_map_dict_ = gc.dict;
-    code_map_.assign(dsize + 1, FlatHashTable::kNone);  // last slot: NULL key
-  }
-  for (size_t r = 0; r < n; ++r) {
-    size_t slot = gc.IsNull(r) ? dsize : static_cast<size_t>(gc.ints[r]);
-    uint32_t group = code_map_[slot];
-    if (group == FlatHashTable::kNone) {
-      // First sight of this code: resolve through the hash table (the same
-      // dictionary value may already have a group from another block).
-      group = FindOrInsertGroup(&table_, block, spec_.group_columns, r,
-                                HashGroupKey(block, spec_.group_columns, r));
-      code_map_[slot] = group;
-    }
-    auto& states = table_.states[group];
-    for (size_t a = 0; a < spec_.aggs.size(); ++a) {
-      const AggSpec& agg = spec_.aggs[a];
-      if (agg.kind == AggKind::kCountStar) {
-        states[a].UpdateCountStar(1);
-      } else {
-        size_t before = states[a].MemoryBytes();
-        states[a].Update(agg, block.columns[agg.input_column], r, 1);
-        table_.bytes += states[a].MemoryBytes() - before;
-      }
-    }
-  }
-  if (ctx_->stats) ctx_->stats->rows_processed_encoded.fetch_add(n);
-  if (ctx_->budget && table_.bytes > 0 &&
-      static_cast<int64_t>(table_.bytes) > ctx_->budget->available()) {
-    STRATICA_RETURN_NOT_OK(SpillTable());
-  }
-  return Status::OK();
-}
-
-Status HashGroupByOperator::ConsumeRleKey(RowBlock* blockp) {
-  RowBlock& block = *blockp;
-  uint32_t gcol = spec_.group_columns[0];
-  // Aggregate inputs other than the key itself are consumed row-at-a-time
-  // inside each run; their run structure (if any) need not match the key's,
-  // so flatten them.
-  for (const auto& agg : spec_.aggs) {
-    if (agg.input_column >= 0 && agg.input_column != static_cast<int>(gcol) &&
-        block.columns[agg.input_column].IsRle()) {
-      block.columns[agg.input_column] = block.columns[agg.input_column].Decoded();
-    }
-  }
-  const ColumnVector& gc = block.columns[gcol];
-  size_t n = block.NumRows();
-  size_t row = 0;
-  for (size_t p = 0; p < gc.PhysicalSize(); ++p) {
-    uint32_t run = gc.runs[p];
-    uint64_t h = HashCombine(kGroupKeySeed, gc.HashEntry(p));
-    uint32_t group = FlatHashTable::kNone;
-    for (uint32_t e = table_.index.Probe(h); e != FlatHashTable::kNone;
-         e = table_.index.Next(e)) {
-      if (GroupKeyEquals(table_.keys, identity_cols_, e, block, spec_.group_columns,
-                         p)) {
-        group = e;
-        break;
-      }
-    }
-    if (group == FlatHashTable::kNone) {
-      group = FindOrInsertGroup(&table_, block, spec_.group_columns, p, h);
-    }
-    auto& states = table_.states[group];
-    for (size_t a = 0; a < spec_.aggs.size(); ++a) {
-      const AggSpec& agg = spec_.aggs[a];
-      if (agg.kind == AggKind::kCountStar) {
-        states[a].UpdateCountStar(run);
-      } else if (agg.input_column == static_cast<int>(gcol)) {
-        // Aggregating the key itself: constant across the run, one update.
-        size_t before = states[a].MemoryBytes();
-        states[a].Update(agg, gc, p, run);
-        table_.bytes += states[a].MemoryBytes() - before;
-      } else {
-        const ColumnVector& col = block.columns[agg.input_column];
-        size_t before = states[a].MemoryBytes();
-        for (size_t rr = row; rr < row + run; ++rr) states[a].Update(agg, col, rr, 1);
-        table_.bytes += states[a].MemoryBytes() - before;
-      }
-    }
-    row += run;
-  }
-  if (ctx_->stats) ctx_->stats->rows_processed_encoded.fetch_add(n);
-  if (ctx_->budget && table_.bytes > 0 &&
-      static_cast<int64_t>(table_.bytes) > ctx_->budget->available()) {
-    STRATICA_RETURN_NOT_OK(SpillTable());
+    return SpillTable();
   }
   return Status::OK();
 }
@@ -290,22 +284,15 @@ Status HashGroupByOperator::SpillTable() {
           std::make_unique<SpillWriter>(ctx_->fs, ctx_->NextSpillPath()));
     }
   }
-  // Spill record: group key columns + one string column per agg state.
-  std::vector<TypeId> rec_types = GroupTypes();
-  for (size_t a = 0; a < spec_.aggs.size(); ++a) rec_types.push_back(TypeId::kString);
-  std::vector<RowBlock> per_part;
-  per_part.reserve(kSpillPartitions);
-  for (size_t p = 0; p < kSpillPartitions; ++p) per_part.emplace_back(rec_types);
-  std::vector<uint32_t> key_cols(spec_.group_columns.size());
-  for (size_t i = 0; i < key_cols.size(); ++i) key_cols[i] = static_cast<uint32_t>(i);
-  HashRows(table_.keys, key_cols, kGroupKeySeed, &hash_buf_);
-  for (size_t g = 0; g < table_.states.size(); ++g) {
+  std::vector<RowBlock> per_part(kSpillPartitions, RowBlock(spill_types_));
+  const size_t k = key_types_.size();
+  HashRows(table_.keys, table_.key_cols, kGroupKeySeed, &hash_buf_);
+  hash_buf_.resize(table_.NumGroups(), kGroupKeySeed);  // no key: the global group
+  for (size_t g = 0; g < table_.NumGroups(); ++g) {
     RowBlock& dst = per_part[(hash_buf_[g] >> 32) % kSpillPartitions];
-    for (size_t i = 0; i < key_cols.size(); ++i)
-      dst.columns[i].AppendFrom(table_.keys.columns[i], g);
+    for (size_t i = 0; i < k; ++i) dst.columns[i].AppendFrom(table_.keys.columns[i], g);
     for (size_t a = 0; a < spec_.aggs.size(); ++a) {
-      dst.columns[key_cols.size() + a].strings.push_back(
-          table_.states[g][a].Serialize(spec_.aggs[a]));
+      dst.columns[k + a].strings.push_back(table_.States(g)[a].Serialize(spec_.aggs[a]));
     }
   }
   for (size_t p = 0; p < kSpillPartitions; ++p) {
@@ -313,78 +300,45 @@ Status HashGroupByOperator::SpillTable() {
     STRATICA_RETURN_NOT_OK(partitions_[p]->Append(per_part[p]));
     if (ctx_->stats) ctx_->stats->rows_spilled.fetch_add(per_part[p].NumRows());
   }
-  table_ = Table();
-  table_.keys = RowBlock(GroupTypes());
+  table_ = NewTable();
   // Group ids restarted with the table: the dict-code cache is stale.
   code_map_dict_.reset();
   code_map_.clear();
   return Status::OK();
 }
 
-Status HashGroupByOperator::EmitTable(const Table& table, std::deque<RowBlock>* dst) {
-  RowBlock out(OutputTypes());
-  for (size_t g = 0; g < table.states.size(); ++g) {
-    for (size_t i = 0; i < spec_.group_columns.size(); ++i)
-      out.columns[i].AppendFrom(table.keys.columns[i], g);
-    size_t col = spec_.group_columns.size();
-    for (size_t a = 0; a < spec_.aggs.size(); ++a) {
-      if (spec_.phase == AggPhase::kPartial) {
-        table.states[g][a].EmitPartial(spec_.aggs[a], &out.columns, col);
-        col += spec_.aggs[a].PartialTypes().size();
-      } else {
-        out.columns[col].Append(table.states[g][a].Final(spec_.aggs[a]));
-        ++col;
-      }
-    }
-    if (out.NumRows() >= ctx_->vector_size) {
-      dst->push_back(std::move(out));
-      out = RowBlock(OutputTypes());
-    }
-  }
-  if (out.NumRows() > 0) dst->push_back(std::move(out));
-  return Status::OK();
-}
-
-Status HashGroupByOperator::MergePartition(SpillWriter* part,
-                                           const std::vector<TypeId>& rec_types,
-                                           const std::vector<uint32_t>& key_cols,
-                                           std::deque<RowBlock>* out) {
-  SpillReader reader(ctx_->fs, part->path(), rec_types);
+Status HashGroupByOperator::MergePartition(SpillWriter* part, std::deque<RowBlock>* out) {
+  SpillReader reader(ctx_->fs, part->path(), spill_types_);
   STRATICA_RETURN_NOT_OK(reader.Open());
-  Table merged;
-  merged.keys = RowBlock(GroupTypes());
+  GroupTable merged = NewTable();
+  const size_t k = key_types_.size();
   std::vector<uint64_t> hashes;  // per-task: hash_buf_ is not shareable
   for (;;) {
     RowBlock rec;
     STRATICA_RETURN_NOT_OK(reader.Next(&rec));
     if (rec.NumRows() == 0) break;
-    HashRows(rec, key_cols, kGroupKeySeed, &hashes);
+    HashRows(rec, merged.key_cols, kGroupKeySeed, &hashes);
     for (size_t r = 0; r < rec.NumRows(); ++r) {
-      uint32_t group = FindOrInsertGroup(&merged, rec, key_cols, r, hashes[r]);
+      uint32_t group = merged.FindOrInsert(rec, merged.key_cols, r, hashes[r],
+                                           merged.index.Probe(hashes[r]));
       for (size_t a = 0; a < spec_.aggs.size(); ++a) {
         STRATICA_ASSIGN_OR_RETURN(
-            AggState st,
-            AggState::Parse(spec_.aggs[a],
-                            rec.columns[key_cols.size() + a].strings[r]));
-        merged.states[group][a].Merge(spec_.aggs[a], st);
+            AggState st, AggState::Parse(spec_.aggs[a], rec.columns[k + a].strings[r]));
+        merged.States(group)[a].Merge(spec_.aggs[a], st);
       }
     }
   }
-  return EmitTable(merged, out);
+  EmitTable(merged, out);
+  return Status::OK();
 }
 
 Status HashGroupByOperator::Open(ExecContext* ctx) {
-  ctx_ = ctx;
-  identity_cols_.resize(spec_.group_columns.size());
-  for (size_t i = 0; i < identity_cols_.size(); ++i)
-    identity_cols_[i] = static_cast<uint32_t>(i);
-  STRATICA_RETURN_NOT_OK(child_->Open(ctx));
-  table_ = Table();
-  table_.keys = RowBlock(GroupTypes());
+  STRATICA_RETURN_NOT_OK(OpenChild(ctx));
+  table_ = NewTable();
+  spill_types_ = key_types_;
+  spill_types_.resize(key_types_.size() + spec_.aggs.size(), TypeId::kString);
   output_.clear();
-  emitted_ = false;
   partitions_.clear();
-
   code_map_dict_.reset();
   code_map_.clear();
   for (;;) {
@@ -395,23 +349,18 @@ Status HashGroupByOperator::Open(ExecContext* ctx) {
   }
 
   if (partitions_.empty()) {
-    STRATICA_RETURN_NOT_OK(EmitTable(table_, &output_));
+    EmitTable(table_, &output_);
   } else {
     // Flush the tail, then merge the grace partitions. Partitions are
     // hash-disjoint — no group spans two — so they re-aggregate as
     // independent tasks on the query's worker pool (DESIGN.md §12); outputs
     // splice back in partition order, keeping emission deterministic.
     STRATICA_RETURN_NOT_OK(SpillTable());
-    std::vector<TypeId> rec_types = GroupTypes();
-    for (size_t a = 0; a < spec_.aggs.size(); ++a) rec_types.push_back(TypeId::kString);
-    std::vector<uint32_t> key_cols(spec_.group_columns.size());
-    for (size_t i = 0; i < key_cols.size(); ++i) key_cols[i] = static_cast<uint32_t>(i);
     for (auto& part : partitions_) STRATICA_RETURN_NOT_OK(part->Finish());
     std::vector<std::deque<RowBlock>> part_out(partitions_.size());
     std::vector<Status> part_status(partitions_.size());
     auto merge_one = [&](size_t p) {
-      part_status[p] =
-          MergePartition(partitions_[p].get(), rec_types, key_cols, &part_out[p]);
+      part_status[p] = MergePartition(partitions_[p].get(), &part_out[p]);
     };
     if (ctx_->scheduler != nullptr && ctx_->intra_node_parallelism > 1) {
       Scheduler::TaskSet tasks(ctx_->scheduler);
@@ -428,29 +377,22 @@ Status HashGroupByOperator::Open(ExecContext* ctx) {
     }
   }
   // SQL: aggregation without GROUP BY yields exactly one row even over
-  // empty input (COUNT(*) = 0, SUM = NULL, ...).
+  // empty input (COUNT(*) = 0, SUM = NULL, ...): emit one fresh group.
   if (spec_.group_columns.empty() && output_.empty() &&
       spec_.phase != AggPhase::kPartial) {
-    Table empty_group;
-    empty_group.keys = RowBlock(GroupTypes());
-    empty_group.states.emplace_back(spec_.aggs.size());
-    // A single group with no key columns: EmitTable iterates keys rows, so
-    // emit manually.
-    RowBlock out(OutputTypes());
-    size_t col = 0;
-    for (size_t a = 0; a < spec_.aggs.size(); ++a) {
-      out.columns[col].Append(empty_group.states[0][a].Final(spec_.aggs[a]));
-      ++col;
-    }
-    output_.push_back(std::move(out));
+    table_ = NewTable();
+    table_.Insert(RowBlock(), {}, 0, kGroupKeySeed);
+    EmitTable(table_, &output_);
   }
-  table_ = Table();
+  table_ = GroupTable();
   return Status::OK();
 }
 
 Status HashGroupByOperator::GetNext(RowBlock* out) {
-  *out = RowBlock(OutputTypes());
-  if (output_.empty()) return Status::OK();
+  if (output_.empty()) {
+    *out = RowBlock(out_types_);
+    return Status::OK();
+  }
   *out = std::move(output_.front());
   output_.pop_front();
   return Status::OK();
@@ -471,45 +413,17 @@ std::string HashGroupByOperator::DebugString() const {
 // ---------------------------------------------------------------------------
 // PipelinedGroupByOperator
 
-std::vector<TypeId> PipelinedGroupByOperator::OutputTypes() const {
-  std::vector<TypeId> group_types;
-  auto child_types = child_->OutputTypes();
-  for (uint32_t c : spec_.group_columns) group_types.push_back(child_types[c]);
-  return GroupByOutputTypes(group_types, spec_.aggs, spec_.phase);
-}
-
 Status PipelinedGroupByOperator::Open(ExecContext* ctx) {
-  ctx_ = ctx;
-  identity_cols_.resize(spec_.group_columns.size());
-  for (size_t i = 0; i < identity_cols_.size(); ++i)
-    identity_cols_[i] = static_cast<uint32_t>(i);
-  has_current_ = false;
+  STRATICA_RETURN_NOT_OK(OpenChild(ctx));
+  table_ = NewTable();
   input_done_ = false;
   runs_consumed_ = 0;
-  std::vector<TypeId> group_types;
-  auto child_types = child_->OutputTypes();
-  for (uint32_t c : spec_.group_columns) group_types.push_back(child_types[c]);
-  current_key_ = RowBlock(group_types);
-  return child_->Open(ctx);
-}
-
-void PipelinedGroupByOperator::EmitCurrent(RowBlock* out) {
-  for (size_t i = 0; i < spec_.group_columns.size(); ++i)
-    out->columns[i].AppendFrom(current_key_.columns[i], 0);
-  size_t col = spec_.group_columns.size();
-  for (size_t a = 0; a < spec_.aggs.size(); ++a) {
-    if (spec_.phase == AggPhase::kPartial) {
-      current_states_[a].EmitPartial(spec_.aggs[a], &out->columns, col);
-      col += spec_.aggs[a].PartialTypes().size();
-    } else {
-      out->columns[col].Append(current_states_[a].Final(spec_.aggs[a]));
-      ++col;
-    }
-  }
+  return Status::OK();
 }
 
 Status PipelinedGroupByOperator::GetNext(RowBlock* out) {
-  *out = RowBlock(OutputTypes());
+  *out = RowBlock(out_types_);
+  const std::vector<uint32_t>& kc = spec_.group_columns;
   while (!input_done_ && out->NumRows() < ctx_->vector_size) {
     RowBlock block;
     STRATICA_RETURN_NOT_OK(child_->GetNext(&block));
@@ -517,71 +431,32 @@ Status PipelinedGroupByOperator::GetNext(RowBlock* out) {
       input_done_ = true;
       break;
     }
-    // RLE fast path: single RLE group column whose runs define the group
-    // boundaries, aggregates restricted to COUNT(*) or functions of the
-    // same column (the classic sorted low-cardinality GROUP BY).
-    bool rle_ok = spec_.group_columns.size() == 1 &&
-                  block.columns[spec_.group_columns[0]].IsRle();
-    if (rle_ok) {
-      for (const auto& agg : spec_.aggs) {
-        rle_ok &= agg.kind == AggKind::kCountStar ||
-                  agg.input_column == static_cast<int>(spec_.group_columns[0]);
-      }
+    // Sorted input: an entry opens a new group exactly when its key differs
+    // from the last group's — compared once per run on a single RLE key.
+    KeyEntries entries = StartBlock(&block);
+    if (entries.runs != nullptr) runs_consumed_ += entries.count;
+    for (size_t e = 0; e < entries.count; ++e) {
+      size_t n = table_.NumGroups();
+      bool same =
+          n > 0 && GroupKeyEquals(table_.keys, table_.key_cols, n - 1, block, kc, e);
+      groups_[e] = same ? static_cast<uint32_t>(n - 1) : table_.Insert(block, kc, e, 0);
     }
-    if (rle_ok) {
-      const ColumnVector& gc = block.columns[spec_.group_columns[0]];
-      for (size_t p = 0; p < gc.PhysicalSize(); ++p) {
-        uint32_t run = gc.runs[p];
-        ++runs_consumed_;
-        bool same = has_current_ &&
-                    ColumnVector::CompareEntries(gc, p, current_key_.columns[0], 0) == 0 &&
-                    gc.IsNull(p) == current_key_.columns[0].IsNull(0);
-        if (!same) {
-          if (has_current_) EmitCurrent(out);
-          current_key_ = RowBlock({gc.type});
-          current_key_.columns[0].AppendFrom(gc, p);
-          current_states_.assign(spec_.aggs.size(), AggState());
-          has_current_ = true;
-        }
-        for (size_t a = 0; a < spec_.aggs.size(); ++a) {
-          if (spec_.aggs[a].kind == AggKind::kCountStar) {
-            current_states_[a].UpdateCountStar(run);
-          } else {
-            current_states_[a].Update(spec_.aggs[a], gc, p, run);
-          }
-        }
-      }
-      continue;
-    }
-    block.DecodeAll();
-    for (size_t r = 0; r < block.NumRows(); ++r) {
-      bool same = has_current_ && GroupKeyEquals(current_key_, identity_cols_, 0,
-                                                 block, spec_.group_columns, r);
-      if (!same) {
-        if (has_current_) EmitCurrent(out);
-        current_key_.Clear();
-        for (size_t i = 0; i < spec_.group_columns.size(); ++i)
-          current_key_.columns[i].AppendFrom(block.columns[spec_.group_columns[i]], r);
-        current_states_.assign(spec_.aggs.size(), AggState());
-        has_current_ = true;
-      }
-      for (size_t a = 0; a < spec_.aggs.size(); ++a) {
-        const AggSpec& agg = spec_.aggs[a];
-        if (spec_.phase == AggPhase::kCombine) {
-          size_t first = spec_.group_columns.size();
-          for (size_t p = 0; p < a; ++p) first += spec_.aggs[p].PartialTypes().size();
-          current_states_[a].UpdatePartial(agg, block, first, r);
-        } else if (agg.kind == AggKind::kCountStar) {
-          current_states_[a].UpdateCountStar(1);
-        } else {
-          current_states_[a].Update(agg, block.columns[agg.input_column], r, 1);
-        }
-      }
+    Fold(&table_, 0, entries.count, 0);
+    // Every group but the last is complete; the last may continue into the
+    // next block, so it carries over as group 0.
+    size_t last = table_.NumGroups() - 1;
+    EmitGroups(table_, 0, last, out);
+    if (last > 0) {
+      GroupTable carry = NewTable();
+      carry.Insert(table_.keys, table_.key_cols, last, 0);
+      std::move(table_.States(last), table_.States(last) + spec_.aggs.size(),
+                carry.States(0));
+      table_ = std::move(carry);
     }
   }
-  if (input_done_ && has_current_) {
-    EmitCurrent(out);
-    has_current_ = false;
+  if (input_done_ && table_.NumGroups() > 0) {
+    EmitGroups(table_, 0, table_.NumGroups(), out);
+    table_.Clear();
   }
   return Status::OK();
 }
@@ -589,49 +464,22 @@ Status PipelinedGroupByOperator::GetNext(RowBlock* out) {
 // ---------------------------------------------------------------------------
 // PrepassGroupByOperator
 
-std::vector<TypeId> PrepassGroupByOperator::OutputTypes() const {
-  std::vector<TypeId> group_types;
-  auto child_types = child_->OutputTypes();
-  for (uint32_t c : spec_.group_columns) group_types.push_back(child_types[c]);
-  return GroupByOutputTypes(group_types, spec_.aggs, AggPhase::kPartial);
-}
-
 Status PrepassGroupByOperator::Open(ExecContext* ctx) {
-  ctx_ = ctx;
-  identity_cols_.resize(spec_.group_columns.size());
-  for (size_t i = 0; i < identity_cols_.size(); ++i)
-    identity_cols_[i] = static_cast<uint32_t>(i);
-  std::vector<TypeId> group_types;
-  auto child_types = child_->OutputTypes();
-  for (uint32_t c : spec_.group_columns) group_types.push_back(child_types[c]);
-  keys_ = RowBlock(group_types);
-  states_.clear();
-  index_.Clear();
-  index_.Reserve(capacity_);
+  STRATICA_RETURN_NOT_OK(OpenChild(ctx));
+  table_ = NewTable();
+  table_.index.Reserve(capacity_);
   output_.clear();
   input_done_ = false;
   rows_in_ = rows_out_ = flushes_ = 0;
   disabled_ = false;
-  return child_->Open(ctx);
+  return Status::OK();
 }
 
-Status PrepassGroupByOperator::Flush() {
-  if (keys_.NumRows() == 0) return Status::OK();
-  RowBlock out(OutputTypes());
-  for (size_t g = 0; g < keys_.NumRows(); ++g) {
-    for (size_t i = 0; i < spec_.group_columns.size(); ++i)
-      out.columns[i].AppendFrom(keys_.columns[i], g);
-    size_t col = spec_.group_columns.size();
-    for (size_t a = 0; a < spec_.aggs.size(); ++a) {
-      states_[g][a].EmitPartial(spec_.aggs[a], &out.columns, col);
-      col += spec_.aggs[a].PartialTypes().size();
-    }
-  }
-  rows_out_ += out.NumRows();
-  output_.push_back(std::move(out));
-  keys_.Clear();
-  states_.clear();
-  index_.Clear();
+void PrepassGroupByOperator::Flush() {
+  if (table_.NumGroups() == 0) return;
+  rows_out_ += table_.NumGroups();
+  EmitTable(table_, &output_);
+  table_.Clear();
   ++flushes_;
   // Runtime shutoff check: a prepass that emits nearly as many rows as it
   // consumes is pure overhead.
@@ -639,73 +487,49 @@ Status PrepassGroupByOperator::Flush() {
     disabled_ = true;
     if (ctx_->stats) ctx_->stats->prepass_disabled.fetch_add(1);
   }
-  return Status::OK();
 }
 
 Status PrepassGroupByOperator::GetNext(RowBlock* out) {
-  *out = RowBlock(OutputTypes());
+  *out = RowBlock(out_types_);
+  const std::vector<uint32_t>& kc = spec_.group_columns;
   while (output_.empty() && !input_done_) {
     RowBlock block;
     STRATICA_RETURN_NOT_OK(child_->GetNext(&block));
     if (block.NumRows() == 0) {
       input_done_ = true;
-      STRATICA_RETURN_NOT_OK(Flush());
+      Flush();
       break;
     }
-    block.DecodeAll();
     rows_in_ += block.NumRows();
+    KeyEntries entries = StartBlock(&block);
     if (disabled_) {
-      // Passthrough: convert rows 1:1 into partial form.
-      RowBlock pass(OutputTypes());
-      for (size_t r = 0; r < block.NumRows(); ++r) {
-        for (size_t i = 0; i < spec_.group_columns.size(); ++i)
-          pass.columns[i].AppendFrom(block.columns[spec_.group_columns[i]], r);
-        size_t col = spec_.group_columns.size();
-        for (size_t a = 0; a < spec_.aggs.size(); ++a) {
-          AggState st;
-          if (spec_.aggs[a].kind == AggKind::kCountStar) {
-            st.UpdateCountStar(1);
-          } else {
-            st.Update(spec_.aggs[a], block.columns[spec_.aggs[a].input_column], r, 1);
-          }
-          st.EmitPartial(spec_.aggs[a], &pass.columns, col);
-          col += spec_.aggs[a].PartialTypes().size();
-        }
-      }
-      rows_out_ += pass.NumRows();
-      output_.push_back(std::move(pass));
+      // Passthrough: every key entry becomes its own partial row.
+      GroupTable pass = NewTable();
+      for (size_t e = 0; e < entries.count; ++e)
+        groups_[e] = pass.Insert(block, kc, e, 0);
+      Fold(&pass, 0, entries.count, 0);
+      rows_out_ += pass.NumGroups();
+      EmitTable(pass, &output_);
       break;
     }
-    // Hash the whole block once; per-row work is probe + verify only.
-    HashRows(block, spec_.group_columns, kGroupKeySeed, &hash_buf_);
-    for (size_t r = 0; r < block.NumRows(); ++r) {
-      uint64_t h = hash_buf_[r];
-      uint32_t group = FlatHashTable::kNone;
-      for (uint32_t e = index_.Probe(h); e != FlatHashTable::kNone; e = index_.Next(e)) {
-        if (GroupKeyEquals(keys_, identity_cols_, e, block, spec_.group_columns, r)) {
-          group = e;
-          break;
-        }
-      }
+    HashEntries(block, entries);
+    size_t first = 0, first_row = 0;  // first entry (and its row) not yet folded
+    for (size_t e = 0, row = 0; e < entries.count; row += entries.Rows(e++)) {
+      uint64_t h = hash_buf_[e];
+      uint32_t group = table_.Find(block, kc, e, h, table_.index.Probe(h));
       if (group == FlatHashTable::kNone) {
-        if (keys_.NumRows() >= capacity_) {
-          // Table full: emit current contents and start afresh (§6.1).
-          STRATICA_RETURN_NOT_OK(Flush());
+        if (table_.NumGroups() >= capacity_) {
+          // Table full: fold what is mapped, emit it and start afresh (§6.1).
+          Fold(&table_, first, e, first_row);
+          first = e;
+          first_row = row;
+          Flush();
         }
-        group = index_.Insert(h);
-        for (size_t i = 0; i < spec_.group_columns.size(); ++i)
-          keys_.columns[i].AppendFrom(block.columns[spec_.group_columns[i]], r);
-        states_.emplace_back(spec_.aggs.size());
+        group = table_.Insert(block, kc, e, h);
       }
-      for (size_t a = 0; a < spec_.aggs.size(); ++a) {
-        if (spec_.aggs[a].kind == AggKind::kCountStar) {
-          states_[group][a].UpdateCountStar(1);
-        } else {
-          states_[group][a].Update(spec_.aggs[a],
-                                   block.columns[spec_.aggs[a].input_column], r, 1);
-        }
-      }
+      groups_[e] = group;
     }
+    Fold(&table_, first, entries.count, first_row);
   }
   if (!output_.empty()) {
     *out = std::move(output_.front());
